@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import deviation as dev
 from . import golden as golden_mod
+from .groups import GroupTooLargeError
 from .monomial import g_group, g_group_order, imprimitive_classification, prop_prod_check
 from .roots import RootOfUnity, unit_classes
 from .search import (
@@ -33,7 +34,7 @@ from .search import (
     worker_count,
 )
 from .spectra import Spectrum
-from .torus import AffineTorusMap, GroupTooLargeError, closure, filtration, simple_av_screen
+from .torus import AffineTorusMap, closure, filtration, simple_av_screen
 
 EXIT_OK = 0
 EXIT_CONFORMANCE = 1
@@ -215,7 +216,7 @@ def _cmd_same_order_screen(args) -> int:
 
 def _cmd_av_verdict(args) -> int:
     action = _load_action(args.input, args.cap)
-    report = filtration(action, cap=args.cap)
+    report = filtration(action)
     payload = {"schema": 1, "verdict": report.verdict, "order": action.order}
     _emit(payload, args.format, lambda p: print(p["verdict"]))
     return EXIT_OK
@@ -223,7 +224,7 @@ def _cmd_av_verdict(args) -> int:
 
 def _cmd_filtration(args) -> int:
     action = _load_action(args.input, args.cap)
-    report = filtration(action, cap=args.cap)
+    report = filtration(action)
     payload = report.to_json()
 
     def render(p):
@@ -396,6 +397,8 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
 
 def _cmd_verify_witness(args) -> int:
     payload = _load_json(args.input)
+    if not isinstance(payload, dict):
+        raise InputError(f"bad witness payload: expected a JSON object, got {type(payload).__name__}")
     try:
         ok, message = _verify_witness_payload(payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -432,7 +435,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="exit 1 when a conformance report has missing or extra entries",
                         **(kw or {"default": False}))
     parser.add_argument("--threads", type=int,
-                        help="worker count for partitionable searches (REIDTAI_THREADS overrides the default)",
+                        help="accepted and ignored: every search runs in one thread (REIDTAI_THREADS likewise)",
                         **(kw or {"default": None}))
     parser.add_argument("--cap", type=int, help="group size cap", **(kw or {"default": 1_000_000}))
     parser.add_argument("--seed", type=int, help="seed for randomized subcommands (reserved)",
@@ -528,13 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = worker_count()
+        worker_count(args.threads)  # rejects a malformed REIDTAI_THREADS
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, GroupTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,0 +1,47 @@
+"""The one subgroup-closure routine, shared by the monomial and torus groups.
+
+Dimino's coset algorithm (G. Butler, *Fundamental Algorithms for
+Permutation Groups*, LNCS 559, 1991).  An element needs nothing but
+``compose`` (the group product) and hashing.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+__all__ = ["GroupTooLargeError", "generate"]
+
+
+class GroupTooLargeError(RuntimeError):
+    """Closure exceeded the configured cap: group too large or infinite."""
+
+
+def generate(elements: Iterable, identity, cap: int) -> tuple[list, tuple]:
+    """Members of the group generated by the elements, and the elements used.
+
+    An element already in the subgroup H built so far is skipped, so the
+    used ones are irredundant; a new one grows H into a union of right
+    cosets H*r, and only the representatives r meet the generators.
+    Raises GroupTooLargeError as soon as the member count would exceed cap.
+    """
+    members = [identity]
+    seen = {identity}
+    used = []
+    for c in elements:
+        if c in seen:
+            continue
+        used.append(c)
+        subgroup = members.copy()
+        reps = [identity]
+        for r in reps:  # grows while it is walked
+            for s in used:
+                y = r.compose(s)
+                if y in seen:
+                    continue
+                if len(members) + len(subgroup) > cap:
+                    raise GroupTooLargeError(f"group too large or infinite: cap {cap} exceeded")
+                coset = [h.compose(y) for h in subgroup]
+                members.extend(coset)
+                seen.update(coset)
+                reps.append(y)
+    return members, tuple(used)

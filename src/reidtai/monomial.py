@@ -11,10 +11,11 @@ e((s + j)/l) for j = 0..l-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .groups import GroupTooLargeError, generate
 from .roots import RootOfUnity
 from .search import REFERENCE_PAIRS
 from .spectra import Spectrum
@@ -22,6 +23,7 @@ from .spectra import Spectrum
 __all__ = [
     "CaseRecord",
     "ExceptionalClassEntry",
+    "GroupTooLargeError",
     "MonomialElement",
     "MonomialGroup",
     "PropProdReport",
@@ -35,10 +37,6 @@ __all__ = [
     "prop_prod_check",
     "spectrum_of",
 ]
-
-
-class GroupTooLargeError(RuntimeError):
-    """Closure exceeded the configured cap: group too large or infinite."""
 
 
 @dataclass(frozen=True)
@@ -166,38 +164,28 @@ class MonomialGroup:
     degree: int
     elements: tuple[MonomialElement, ...]
     generators: tuple[MonomialElement, ...]
+    _members: frozenset[MonomialElement] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: MonomialElement) -> bool:
-        return g in set(self.elements)
+        return g in self._members
 
 
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000, degree: int | None = None) -> MonomialGroup:
-    """Breadth-first product closure with deterministic canonical ordering."""
+    """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
     if degree is None:
         if not gens:
             raise ValueError("need generators or an explicit degree")
         degree = gens[0].degree
-    ident = monomial_identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x.compose(g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLargeError(f"group too large or infinite: cap {cap} exceeded")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    elements = tuple(sorted(seen, key=MonomialElement.sort_key))
-    return MonomialGroup(degree, elements, gens)
+    members, _ = generate(gens, monomial_identity(degree), cap)
+    return MonomialGroup(degree, tuple(sorted(members, key=MonomialElement.sort_key)), gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -221,8 +209,6 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(MonomialElement(tuple(perm), (0,) * n, 1))
-    if not gens:  # G(1,1,1) is trivial
-        return MonomialGroup(n, (monomial_identity(n),), ())
     group = monomial_closure(gens, cap=cap, degree=n)
     if group.order != expected:
         raise ArithmeticError(f"closure produced {group.order} elements, expected {expected}")
@@ -249,21 +235,14 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
     """Smallest normal subgroup of the group containing g.
 
-    Generated from a small subset of the conjugacy class, enlarged until
-    the subgroup swallows the whole class; that subgroup then equals the
-    subgroup generated by the class.
+    The subgroup generated by the conjugacy class; its generators are the
+    class members that were not already in the subgroup generated by the
+    earlier ones, starting with the first.
     """
     if g not in group:
         raise ValueError("element does not belong to the group")
-    cls = conjugacy_class(g, group)
-    gens = [cls[0]]
-    while True:
-        sub = monomial_closure(gens, cap=cap, degree=group.degree)
-        members = set(sub.elements)
-        missing = next((c for c in cls if c not in members), None)
-        if missing is None:
-            return MonomialGroup(group.degree, sub.elements, tuple(gens))
-        gens.append(missing)
+    members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
+    return MonomialGroup(group.degree, tuple(sorted(members, key=MonomialElement.sort_key)), used)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -108,7 +107,7 @@ REFERENCE_MULTISETS: tuple[tuple[str, tuple[RootOfUnity, ...]], ...] = (
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker count for partitionable searches; REIDTAI_THREADS overrides."""
+    """Validated worker count (REIDTAI_THREADS overrides); searches ignore it and run serially."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("REIDTAI_THREADS")
@@ -118,13 +117,6 @@ def worker_count(requested: int | None = None) -> int:
         except ValueError as exc:
             raise ValueError(f"REIDTAI_THREADS must be an integer, got {env!r}") from exc
     return 1
-
-
-def _parallel_map(fn, items: Sequence, threads: int):
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +223,8 @@ def feasible_orders(d_max: int = 372, threads: int | None = None) -> tuple[tuple
     """All d <= d_max whose minimal half-orbit sum is below 1, with conformance."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    ds = list(range(2, d_max + 1))
-    sums = _parallel_map(lambda d: min_halforbit_sum(d)[0], ds, worker_count(threads))
-    computed = tuple(d for d, s in zip(ds, sums) if s < 1)
+    worker_count(threads)  # validated, then ignored: the search runs serially
+    computed = tuple(d for d in range(2, d_max + 1) if min_halforbit_sum(d)[0] < 1)
 
     def witness(d: int) -> dict:
         total, reps = min_halforbit_sum(d)
@@ -473,8 +464,8 @@ def classify_pairs(
         raise ValueError("f_max must be at least 2")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    candidates = _pair_candidates(f_max)
-    decisions = _parallel_map(lambda p: _decide_pair(p[0], p[1], mode), candidates, worker_count(threads))
+    worker_count(threads)  # validated, then ignored: the search runs serially
+    decisions = (_decide_pair(a, b, mode) for a, b in _pair_candidates(f_max))
     classes = tuple(
         PairClass(d.pair, d.witness, d.minimal_sum, d)
         for d in decisions

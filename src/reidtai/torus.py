@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .groups import GroupTooLargeError, generate
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -59,10 +60,6 @@ __all__ = [
 KODAIRA_ZERO = "KodairaZero"
 UNIRULED_NOT_RC = "UniruledNotRC"
 RATIONALLY_CONNECTED = "RationallyConnected"
-
-
-class GroupTooLargeError(RuntimeError):
-    """Closure exceeded the configured cap: group too large or infinite."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class TorusAction:
 
 
 def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> TorusAction:
-    """Breadth-first product closure of the generators (plus the identity)."""
+    """Group generated by the maps, in canonical order."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -152,21 +149,8 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     for g in gens:
         if matrix_order(g.linear) is None:
             raise ValueError("generator linear part has infinite order")
-    ident = affine_identity(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x.compose(g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLargeError(f"group too large or infinite: cap {cap} exceeded")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return TorusAction(n, tuple(sorted(seen, key=AffineTorusMap.sort_key)), gens)
+    members, _ = generate(gens, affine_identity(n), cap)
+    return TorusAction(n, tuple(sorted(members, key=AffineTorusMap.sort_key)), gens)
 
 
 @dataclass(frozen=True)
@@ -295,7 +279,7 @@ class FiltrationReport:
         }
 
 
-def filtration(action: TorusAction, cap: int = 1_000_000) -> FiltrationReport:
+def filtration(action: TorusAction) -> FiltrationReport:
     """Iterate the exceptional-tangent construction through quotient tori.
 
     Stage 1 works on the given torus; each later stage recomputes the
@@ -336,9 +320,9 @@ def filtration(action: TorusAction, cap: int = 1_000_000) -> FiltrationReport:
     )
 
 
-def verdict(action: TorusAction, cap: int = 1_000_000) -> str:
+def verdict(action: TorusAction) -> str:
     """KodairaZero, UniruledNotRC, or RationallyConnected."""
-    return filtration(action, cap=cap).verdict
+    return filtration(action).verdict
 
 
 # ---------------------------------------------------------------------------

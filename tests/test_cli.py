@@ -129,6 +129,13 @@ class TestWitnessRoundTrip:
         wfile.write_text(json.dumps({"kind": "nonsense"}))
         assert main(["verify-witness", str(wfile)]) == 2
 
+    @pytest.mark.parametrize("payload", [[1, 2], "x", 3])
+    def test_non_object_payload_exit_2(self, payload, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(payload))
+        assert main(["verify-witness", str(wfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad witness payload")
+
     def test_multiset_witnesses_verify(self, tmp_path, capsys):
         assert main(["--format", "json", "multisets", "--mode", "orbit-sets"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -184,6 +191,19 @@ class TestGolden:
 
 
 class TestMonomialCommand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--m", "7", "--p", "1", "--n", "6"],
+            ["--m", "4", "--p", "1", "--n", "4", "--cap", "100"],
+        ],
+    )
+    def test_cap_overflow_exit_2(self, args):
+        result = run_cli("monomial-check", *args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_monomial_check(self, capsys):
         assert main(["--format", "json", "monomial-check", "--m", "2", "--p", "1", "--n", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,0 +1,106 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from reidtai import groups, monomial, torus
+from reidtai.lattice import identity
+from reidtai.monomial import MonomialElement, conjugacy_class, g_group, monomial_closure, normal_closure
+from reidtai.torus import AffineTorusMap, affine_identity, closure
+
+F = Fraction
+
+
+def _torus_closure_oracle(gens, cap):
+    """Breadth-first product closure; None once it passes the cap."""
+    ident = affine_identity(gens[0].rank)
+    members = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x.compose(g)
+                if y not in members:
+                    members.add(y)
+                    new.append(y)
+        if len(members) > cap:
+            return None
+        frontier = new
+    return members
+
+
+def _random_signed_permutation_map(rng, n):
+    perm = rng.sample(range(n), n)
+    linear = tuple(
+        tuple(rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)) for i in range(n)
+    )
+    translation = []
+    for _ in range(n):
+        d = rng.randint(1, 4)
+        translation.append(F(rng.randrange(d), d))
+    return AffineTorusMap(linear, tuple(translation))
+
+
+def test_one_error_class():
+    assert monomial.GroupTooLargeError is torus.GroupTooLargeError is groups.GroupTooLargeError
+
+
+@pytest.mark.parametrize("order", [2, 7, 12])
+def test_monomial_cap_boundary(order):
+    gens = [MonomialElement((0,), (1,), order)]
+    assert monomial_closure(gens, cap=order).order == order
+    with pytest.raises(groups.GroupTooLargeError):
+        monomial_closure(gens, cap=order - 1)
+
+
+@pytest.mark.parametrize("order", [2, 7, 12])
+def test_torus_cap_boundary(order):
+    gens = [AffineTorusMap(identity(1), (F(1, order),))]
+    assert closure(gens, cap=order).order == order
+    with pytest.raises(groups.GroupTooLargeError):
+        closure(gens, cap=order - 1)
+
+
+def test_cap_boundary_inside_a_coset():
+    # <diag(e(1/4), 1)> has order 4; the second generator adds cosets of size 4
+    gens = [MonomialElement((0, 1), (1, 0), 4), MonomialElement((0, 1), (0, 1), 3)]
+    assert monomial_closure(gens, cap=12).order == 12
+    for cap in (8, 11):
+        with pytest.raises(groups.GroupTooLargeError):
+            monomial_closure(gens, cap=cap)
+
+
+def test_torus_closure_matches_breadth_first_oracle():
+    rng = random.Random(11)
+    cap = 2000
+    compared = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = [_random_signed_permutation_map(rng, n) for _ in range(rng.randint(1, 3))]
+        oracle = _torus_closure_oracle(gens, cap)
+        if oracle is None:
+            with pytest.raises(groups.GroupTooLargeError):
+                closure(gens, cap=cap)
+            continue
+        action = closure(gens, cap=cap)
+        assert action.elements == tuple(sorted(oracle, key=AffineTorusMap.sort_key))
+        compared += 1
+    assert compared >= 20
+
+
+def test_normal_closure_generators_are_irredundant():
+    s3 = g_group(1, 1, 3)
+    t = MonomialElement((1, 0, 2), (0, 0, 0), 1)
+    cls = conjugacy_class(t, s3)
+    assert normal_closure(t, s3).generators == cls[:2]
+
+
+def test_generate_skips_redundant_elements():
+    g = MonomialElement((1, 2, 0), (0, 0, 0), 1)  # a 3-cycle
+    g2 = g.compose(g)
+    members, used = groups.generate([g, g2, g], monomial.monomial_identity(3), 10)
+    assert used == (g,)
+    assert sorted(members, key=MonomialElement.sort_key) == sorted(
+        [monomial.monomial_identity(3), g, g2], key=MonomialElement.sort_key
+    )
