@@ -21,10 +21,11 @@ from . import deviation as dev
 from . import golden as golden_mod
 from .groups import GroupTooLargeError
 from .monomial import g_group, g_group_order, imprimitive_classification, prop_prod_check
-from .roots import RootOfUnity, unit_classes
+from .roots import RootOfUnity
 from .search import (
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
+    SigmaWitness,
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
@@ -349,10 +350,8 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
         d = payload["d"]
         reps = payload["representatives"]
         total = Fraction(payload["sum"])
-        classes = unit_classes(d)
-        chosen = set(reps)
-        if not all(any(u in chosen for u in pair) for pair in classes.pairs):
-            return False, "representatives do not cover every conjugate pair"
+        if not SigmaWitness(d, tuple(reps)).covers_conjugate_pairs():
+            return False, "representatives are not units in (0, d) covering every conjugate pair"
         actual = sum((Fraction(u, d) for u in reps), Fraction(0))
         if actual != total:
             return False, f"sum mismatch: recomputed {actual}"
@@ -360,11 +359,9 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
     if kind == f"pair-{MODE_VALUE_UNION}":
         pair = [RootOfUnity(Fraction(v)) for v in payload["pair"]]
         sigma = payload["sigma"]
-        modulus = sigma["modulus"]
         chosen = set(sigma["chosen_residues"])
-        classes = unit_classes(modulus)
-        if not all(any(u in chosen for u in p) for p in classes.pairs):
-            return False, "sigma does not cover every conjugate pair of units"
+        if not SigmaWitness(sigma["modulus"], tuple(chosen)).covers_conjugate_pairs():
+            return False, "sigma residues are not units in (0, modulus) covering every conjugate pair"
         values = sorted({RootOfUnity(k * v.numerator, v.denominator) for k in chosen for v in pair})
         if [str(v) for v in values] != payload["values"]:
             return False, "expanded value set mismatch"
@@ -387,10 +384,18 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
         total = sum(values, Fraction(0))
         if str(total) != payload["sum"]:
             return False, f"sum mismatch: recomputed {total}"
+        if not all(0 < v < 1 for v in values):
+            return False, "values must lie in (0, 1)"
+        if len(set(values)) < 2:
+            return False, "need at least two distinct values"
+        if total >= 1:
+            return False, f"sum {total} >= 1"
         if "orbit_total" in payload:
             result = av_orbit_feasibility(values)
             if str(result.total) != payload["orbit_total"]:
                 return False, f"orbit total mismatch: recomputed {result.total}"
+            if not 0 < result.total < 1:
+                return False, f"orbit total {result.total} outside (0, 1)"
         return True, f"sum {total}"
     raise InputError(f"unknown witness kind {kind!r}")
 

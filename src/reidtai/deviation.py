@@ -368,6 +368,8 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
 
 def extraspecial_scan(max_dim: int = 32) -> tuple[ExtraspecialRecord, ...]:
     """All (p, n_exp, m) with m * p^n_exp <= max_dim."""
+    if max_dim < 1:
+        raise ValueError("max_dim must be at least 1")
     records = []
     primes = [p for p in range(2, max_dim + 1) if all(p % q for q in range(2, p))]
     for p in primes:

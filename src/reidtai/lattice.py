@@ -313,21 +313,15 @@ def sublattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
 
 def saturate(s: Sublattice) -> Sublattice:
     """The largest sublattice of Z^n with the same rational span (idempotent)."""
-    if s.rank == 0:
-        return s
-    dec = snf(s.basis)
-    rank = sum(1 for d in dec.diagonal if d)
-    vinv = unimodular_inverse(dec.v)
-    # U*B = D*V^{-1}; dropping the elementary divisors leaves primitive rows
-    # spanning span_Q(B) intersect Z^n.
-    return sublattice_from_rows(s.ambient_rank, vinv[:rank])
+    # The HNF basis rows are independent, so rank(s) rows span the saturation.
+    return sublattice_from_rows(s.ambient_rank, adapted_unimodular(s)[: s.rank])
 
 
 def adapted_unimodular(s: Sublattice) -> IntMatrix:
-    """Unimodular matrix whose first rank(s) rows are a basis of the saturated s.
+    """Unimodular matrix whose first rank(s) rows are a basis of the saturation of s.
 
-    Only meaningful for saturated s; callers that need the quotient
-    Z^n / s should saturate first.
+    U*B = D*V^{-1}; dropping the elementary divisors leaves primitive rows.
+    Callers that need the quotient Z^n / s should saturate first.
     """
     n = s.ambient_rank
     if s.rank == 0:
@@ -445,8 +439,8 @@ def _cyclotomic_factorization(coeffs: tuple[int, ...], n: int) -> dict[int, int]
     return factors
 
 
-def matrix_order(m: IntMatrix) -> int | None:
-    """Least k with M^k = I, or None when M has infinite order.
+def _finite_order_factors(m: IntMatrix) -> dict[int, int] | None:
+    """Cyclotomic factorization {d: multiplicity} of a finite-order matrix, else None.
 
     The order of any finite-order element of GL_n(Z) divides
     lcm{d : phi(d) <= n}; here it is read off the cyclotomic factorization
@@ -455,17 +449,22 @@ def matrix_order(m: IntMatrix) -> int | None:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
     if abs(_det(m)) != 1:
         return None
     factors = _cyclotomic_factorization(charpoly(m), n)
-    if factors is None:
+    if factors is None or mat_pow(m, math.lcm(*factors)) != identity(n):
         return None
-    order = math.lcm(*factors)
-    if mat_pow(m, order) != identity(n):
-        return None
-    return order
+    return factors
+
+
+def matrix_order(m: IntMatrix) -> int | None:
+    """Least k with M^k = I, or None when M has infinite order.
+
+    k is the lcm of the cyclotomic orders in the factorization of the
+    characteristic polynomial, confirmed by one power of M.
+    """
+    factors = _finite_order_factors(m)
+    return None if factors is None else math.lcm(*factors)
 
 
 def cyclotomic_spectrum(m: IntMatrix) -> Spectrum:
@@ -473,14 +472,12 @@ def cyclotomic_spectrum(m: IntMatrix) -> Spectrum:
 
     Each cyclotomic factor of the characteristic polynomial contributes a
     full packet of primitive roots, so the spectrum is a disjoint union of
-    complete Galois orbits.
+    complete Galois orbits.  The characteristic polynomial is factored once,
+    by the same routine that decides the order.
     """
-    n = len(m)
-    if matrix_order(m) is None:
-        raise ValueError("matrix does not have finite order")
-    factors = _cyclotomic_factorization(charpoly(m), n)
+    factors = _finite_order_factors(m)
     if factors is None:
-        raise ArithmeticError("finite-order matrix with non-cyclotomic characteristic polynomial")
+        raise ValueError("matrix does not have finite order")
     values = []
     for d, mult in factors.items():
         for k in range(d):

@@ -306,7 +306,9 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False, cap: int
 
     Entries whose normal closure is the whole group must have transposition
     permutation part; any counterexample lands in ``violations`` and
-    signals an implementation bug, not a discovery.
+    signals an implementation bug, not a discovery.  The normal closure of
+    a class is the subgroup its members generate, so only its order is
+    computed, from the class already in hand.
     """
     if reflection_rep:
         if any(g.modulus != 1 for g in group.elements):
@@ -320,12 +322,13 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False, cap: int
             exceptional.append(g)
     entries = []
     assigned: set[MonomialElement] = set()
+    identity = monomial_identity(group.degree)
     for g in exceptional:
         if g in assigned:
             continue
         cls = conjugacy_class(g, group)
         assigned.update(cls)
-        closure = normal_closure(cls[0], group, cap=cap)
+        closure_order = len(generate(cls, identity, cap)[0])
         spec = _reported_spectrum(cls[0], reflection_rep)
         entries.append(
             ExceptionalClassEntry(
@@ -334,8 +337,8 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False, cap: int
                 age=spec.age(),
                 spectrum=spec,
                 cycle_type=cls[0].cycle_type(),
-                closure_order=closure.order,
-                closure_index=group.order // closure.order,
+                closure_order=closure_order,
+                closure_index=group.order // closure_order,
                 is_transposition=cls[0].is_transposition(),
             )
         )

@@ -26,6 +26,7 @@ from .lattice import (
     identity,
     mat,
     mat_mul,
+    mat_vec,
     matrix_order,
     saturate,
     solve_torus_congruence,
@@ -95,17 +96,12 @@ class AffineTorusMap:
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other: x -> self(other(x))."""
-        m = mat_mul(self.linear, other.linear)
-        t = tuple(
-            (sum(Fraction(c) * v for c, v in zip(row, other.translation)) + s) % 1
-            for row, s in zip(self.linear, self.translation)
-        )
-        return AffineTorusMap(m, t)
+        t = tuple(a + s for a, s in zip(mat_vec(self.linear, other.translation), self.translation))
+        return AffineTorusMap(mat_mul(self.linear, other.linear), t)
 
     def inverse(self) -> "AffineTorusMap":
         minv = unimodular_inverse(self.linear)
-        t = tuple((-sum(Fraction(c) * v for c, v in zip(row, self.translation))) % 1 for row in minv)
-        return AffineTorusMap(minv, t)
+        return AffineTorusMap(minv, tuple(-x for x in mat_vec(minv, self.translation)))
 
     def sort_key(self):
         return (self.linear, self.translation)
@@ -206,9 +202,15 @@ def rt_subgroup(action: TorusAction, cap: int = 1_000_000) -> TorusAction:
 
 
 def rt_tangent_sublattice(action: TorusAction) -> Sublattice:
-    """Saturation of the sum of the image lattices (M - I)Z^n over exceptional elements."""
-    exc = exceptional_elements(action)
-    n = action.rank
+    """Saturation of the sum of the image lattices (M - I)Z^n over exceptional elements.
+
+    ``filtration`` builds each stage's sublattice from the exceptional
+    elements it already holds, so it does not go through this function.
+    """
+    return _tangent_sublattice(action.rank, exceptional_elements(action))
+
+
+def _tangent_sublattice(n: int, exc: Sequence[ExceptionalElement]) -> Sublattice:
     rows = []
     for e in exc:
         m = e.element.linear
@@ -226,23 +228,15 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> TorusAction:
     p = adapted_unimodular(sub)
     q = transpose(p)
     qinv = unimodular_inverse(q)
-    induced = set()
-    induced_gens = []
-    for g in action.elements + action.generators:
+    induced = {}
+    for g in action.elements:
         m2 = mat_mul(mat_mul(qinv, g.linear), q)
         if any(m2[i][j] != 0 for i in range(r, n) for j in range(r)):
             raise ArithmeticError("sublattice is not stable under the action")
         block = tuple(row[r:] for row in m2[r:])
-        t2 = tuple(
-            sum(Fraction(c) * v for c, v in zip(row, g.translation)) % 1 for row in qinv[r:]
-        )
-        h = AffineTorusMap(block, t2)
-        if g in action.generators:
-            induced_gens.append(h)
-        else:
-            induced.add(h)
-    induced.update(induced_gens)
-    return TorusAction(n - r, tuple(sorted(induced, key=AffineTorusMap.sort_key)), tuple(induced_gens))
+        induced[g] = AffineTorusMap(block, mat_vec(qinv[r:], g.translation))
+    elements = sorted(set(induced.values()), key=AffineTorusMap.sort_key)
+    return TorusAction(n - r, tuple(elements), tuple(induced[g] for g in action.generators))
 
 
 def _pullback(sub: Sublattice, quotient_sub: Sublattice) -> Sublattice:
@@ -253,8 +247,7 @@ def _pullback(sub: Sublattice, quotient_sub: Sublattice) -> Sublattice:
     q = transpose(p)
     rows = list(sub.basis)
     for w in quotient_sub.basis:
-        y = (0,) * r + tuple(w)
-        rows.append(tuple(sum(q[i][j] * y[j] for j in range(n)) for i in range(n)))
+        rows.append(mat_vec(q, (0,) * r + tuple(w)))
     return saturate(sublattice_from_rows(n, rows))
 
 
@@ -289,7 +282,7 @@ def filtration(action: TorusAction) -> FiltrationReport:
     """
     n = action.rank
     exc1 = exceptional_elements(action)
-    current = rt_tangent_sublattice(action)
+    current = _tangent_sublattice(n, exc1)
     chain = [current]
     counts = [len(exc1)]
     if exc1:
@@ -299,7 +292,7 @@ def filtration(action: TorusAction) -> FiltrationReport:
             counts.append(len(exc_q))
             if not exc_q:
                 break
-            nxt = _pullback(current, rt_tangent_sublattice(quotient))
+            nxt = _pullback(current, _tangent_sublattice(quotient.rank, exc_q))
             if nxt == current:
                 break
             current = nxt

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,56 @@ class TestWitnessRoundTrip:
         wfile.write_text(json.dumps(payload))
         assert main(["verify-witness", str(wfile)]) == 2
         assert capsys.readouterr().err.startswith("error: bad witness payload")
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            {"kind": "order", "d": 11, "representatives": [1, 2, 3, 4, 5, -14], "sum": "1/11"},
+            {
+                "kind": "pair-value-union",
+                "pair": ["1/6", "1/3"],
+                "sigma": {"modulus": 6, "chosen_residues": [1, 2]},
+                "values": ["1/6", "1/3", "2/3"],
+                "minimal_sum": "7/6",
+                "feasible": False,
+            },
+            {"kind": "multiset", "values": ["5/3", "7/3"], "sum": "4"},
+            {"kind": "multiset", "values": ["1/4", "1/4"], "sum": "1/2"},
+            {"kind": "multiset", "values": ["1/2", "1/3", "1/4"], "sum": "13/12"},
+        ],
+        ids=["order-non-unit", "pair-non-unit", "multiset-unreduced", "multiset-one-value", "multiset-sum"],
+    )
+    def test_forged_witness_fails(self, witness, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(witness))
+        assert main(["verify-witness", str(wfile)]) == 1
+        assert capsys.readouterr().out.startswith("FAILED: ")
+
+    @pytest.mark.parametrize("mode", ["value-union", "orbit-sets"])
+    def test_every_multiset_witness_verifies(self, mode, tmp_path, capsys):
+        assert main(["--format", "json", "multisets", "--f-max", "12", "--mode", mode]) == 0
+        extras = json.loads(capsys.readouterr().out)["conformance"]["extra"]
+        assert extras
+        wfile = tmp_path / "w.json"
+        for entry in extras:
+            wfile.write_text(json.dumps(entry["witness"]))
+            assert main(["verify-witness", str(wfile)]) == 0, entry["item"]
+            capsys.readouterr()
+
+    def test_refuted_multiset_fails_as_witness(self, tmp_path, capsys):
+        # a refuted candidate has an orbit total >= 1, so it proves nothing
+        assert main(["--format", "json", "multisets", "--f-max", "12", "--mode", "orbit-sets"]) == 0
+        refuted = json.loads(capsys.readouterr().out)["refutations"][0]
+        values = [Fraction(v) for v in refuted["multiset"]]
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps({
+            "kind": "multiset",
+            "values": refuted["multiset"],
+            "sum": str(sum(values, Fraction(0))),
+            "orbit_total": refuted["orbit_total"],
+        }))
+        assert main(["verify-witness", str(wfile)]) == 1
+        assert capsys.readouterr().out.startswith("FAILED: ")
 
     def test_multiset_witnesses_verify(self, tmp_path, capsys):
         assert main(["--format", "json", "multisets", "--mode", "orbit-sets"]) == 0
@@ -290,6 +341,13 @@ class TestDeviationCommand:
 
     def test_rt_check_without_spectra_exit_2(self):
         assert main(["rt-check"]) == 2
+
+    @pytest.mark.parametrize("max_dim", ["-1", "0"])
+    def test_extraspecial_scan_nonpositive_bound_exit_2(self, max_dim, capsys):
+        assert main(["extraspecial-scan", "--max-dim", max_dim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_extraspecial_scan(self, capsys):
         assert main(["--format", "json", "extraspecial-scan", "--max-dim", "18"]) == 0

@@ -1,0 +1,26 @@
+"""The demo scripts run to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "name", ["ages_and_reidtai", "deviation_bounds", "monomial_reflection_groups", "torus_verdicts"]
+)
+def test_demo_runs(name):
+    result = subprocess.run(
+        [sys.executable, str(REPO / "demos" / f"{name}.py")],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr

@@ -279,6 +279,15 @@ class TestCyclotomicSpectrum:
         with pytest.raises(ValueError):
             cyclotomic_spectrum(mat([[1, 1], [0, 1]]))
 
+    def test_one_charpoly_per_spectrum(self, monkeypatch):
+        import reidtai.lattice as lattice
+
+        calls = []
+        original = lattice.charpoly
+        monkeypatch.setattr(lattice, "charpoly", lambda m: calls.append(m) or original(m))
+        assert cyclotomic_spectrum(_companion(cyclotomic_poly(12))).dimension == 4
+        assert len(calls) == 1
+
     def test_inverse_spectrum_is_conjugate(self):
         # eigenvalues of M and M^{-1} pair off as conjugates, so the two
         # spectra are entrywise negatives mod 1

@@ -206,6 +206,16 @@ class TestPropProd:
         report = prop_prod_check(g_group(1, 1, 1))
         assert report.entries == () and report.violations == ()
 
+    @pytest.mark.parametrize(
+        "m, p, n", [(1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 3, 2), (4, 2, 2)]
+    )
+    def test_closure_orders_match_normal_closure(self, m, p, n):
+        group = g_group(m, p, n)
+        report = prop_prod_check(group)
+        assert report.entries
+        for e in report.entries:
+            assert e.closure_order == normal_closure(e.representative, group).order
+
     def test_exceptional_ages_match_spectra(self):
         report = prop_prod_check(g_group(4, 1, 2))
         for e in report.entries:

@@ -1,10 +1,13 @@
 import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reidtai.lattice import identity, mat
+from reidtai.lattice import identity, mat, mat_mul
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
@@ -391,3 +394,48 @@ class TestSerialization:
     def test_translation_normalized(self):
         g = amap(identity(2), ("3/2", "-1/4"))
         assert g.translation == (F(1, 2), F(3, 4))
+
+
+DEMO_INPUTS = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.json"))
+
+
+def _random_affine_map(rng, n):
+    """A signed permutation times an upper unitriangular shear, with a rational translation."""
+    shear = [[1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+    linear = mat_mul(mat(_random_signed_permutation(rng, n)), mat(shear))
+    t = tuple(F(rng.randrange(den), den) for den in rng.choices((1, 2, 3, 4, 6), k=n))
+    return AffineTorusMap(linear, t)
+
+
+class TestAffineMapLaws:
+    def test_compose_and_inverse(self):
+        rng = random.Random(2718)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            g, h = _random_affine_map(rng, n), _random_affine_map(rng, n)
+            x = tuple(F(rng.randrange(12), 12) for _ in range(n))
+            assert g.compose(h).apply(x) == g.apply(h.apply(x))
+            assert g.compose(g.inverse()).is_identity()
+            assert g.inverse().compose(g).is_identity()
+
+
+class TestOneDerivationPerStage:
+    @pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.stem)
+    def test_exceptional_elements_once_per_stage(self, path, monkeypatch):
+        import reidtai.torus as torus
+
+        payload = json.loads(path.read_text())
+        action = closure(AffineTorusMap.from_json(g) for g in payload["generators"])
+        calls = []
+        original = torus.exceptional_elements
+        monkeypatch.setattr(torus, "exceptional_elements", lambda a: calls.append(a) or original(a))
+        report = filtration(action)
+        assert len(calls) == len(report.stage_exceptional_counts)
+
+    def test_quotient_induces_each_generator_once(self):
+        from reidtai.torus import _quotient_action
+
+        action = group(amap([[0, 1], [1, 0]]), amap(identity(2), ("1/2", "0")))
+        quotient = _quotient_action(action, filtration(action).chain[0])
+        assert len(quotient.generators) == len(action.generators) == 2
+        assert set(quotient.generators) <= set(quotient.elements)
