@@ -154,9 +154,28 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
     expected = tuple(expected)
     computed = tuple(computed)
     expected_set = set(expected)
-    missing = tuple(x for x in expected if x not in set(computed))
+    computed_set = set(computed)
+    missing = tuple(x for x in expected if x not in computed_set)
     extras = tuple((x, witness_of(x)) for x in computed if x not in expected_set)
     return ConformanceReport(expected, computed, missing, extras)
+
+
+# ---------------------------------------------------------------------------
+# Shared modulus
+# ---------------------------------------------------------------------------
+#
+# The search kernels work on integer numerators over one modulus M, the lcm
+# of the orders involved: the value x/M is the int x, a Galois twist is
+# u*x % M, conjugation is -x % M and "below 1" is "below M".  Over a fixed M
+# the ints sort exactly as the fractions they stand for, so every sort,
+# prune and tie-break gives what it gives on Fractions; Fraction and
+# RootOfUnity objects are built only for what the kernels return.
+
+
+def _over_common_modulus(values: Sequence[RootOfUnity]) -> tuple[int, list[int]]:
+    """The lcm M of the values' orders and each value's numerator over M."""
+    modulus = math.lcm(*(v.denominator for v in values))
+    return modulus, [v.numerator * (modulus // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +185,8 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
 
 def min_halforbit_sum(d: int) -> tuple[Fraction, tuple[int, ...]]:
     """Minimal sum of one representative u/d per conjugate pair {u, d-u}."""
-    classes = unit_classes(d)
-    reps = tuple(min(pair) for pair in classes.pairs)
-    total = sum((Fraction(u, d) for u in reps), Fraction(0))
-    return total, reps
+    reps = tuple(min(pair) for pair in unit_classes(d).pairs)
+    return Fraction(sum(reps), d), reps
 
 
 @dataclass(frozen=True)
@@ -224,10 +241,11 @@ def feasible_orders(d_max: int = 372, threads: int | None = None) -> tuple[tuple
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     worker_count(threads)  # validated, then ignored: the search runs serially
-    computed = tuple(d for d in range(2, d_max + 1) if min_halforbit_sum(d)[0] < 1)
+    sums = {d: min_halforbit_sum(d) for d in range(2, d_max + 1)}
+    computed = tuple(d for d, (total, _) in sums.items() if total < 1)
 
     def witness(d: int) -> dict:
-        total, reps = min_halforbit_sum(d)
+        total, reps = sums[d]
         return {"kind": "order", "d": d, "representatives": list(reps), "sum": str(total)}
 
     expected = tuple(d for d in CONFIRMED_ORDERS if d <= d_max)
@@ -271,10 +289,6 @@ class AvOrbitResult:
         }
 
 
-def _twist(k: int, v: RootOfUnity) -> RootOfUnity:
-    return RootOfUnity(k * v.numerator, v.denominator)
-
-
 def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
     """Sum, over conjugation classes of distinct Galois twists, of the class-minimal age.
 
@@ -288,25 +302,29 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
         raise ValueError("empty eigenvalue multiset")
     if any(v == 0 for v in ms):
         raise ValueError("multiset entries must be nonzero roots of unity")
-    modulus = math.lcm(*[v.order for v in ms])
-    twists: dict[tuple, None] = {}
-    for k in unit_classes(modulus).units:
-        twists.setdefault(tuple(sorted(_twist(k, v) for v in ms)))
+    modulus, scaled = _over_common_modulus(ms)
+    twists = {tuple(sorted(k * x % modulus for x in scaled)) for k in unit_classes(modulus).units}
+    # Twisting by -k conjugates, so every conjugate twist is itself a twist.
+    root = {x: RootOfUnity(x, modulus) for x in set().union(*twists)}
+
+    def lift(t: tuple[int, ...]) -> tuple[RootOfUnity, ...]:
+        return tuple(root[x] for x in t)
+
     classes = []
     seen = set()
-    total = Fraction(0)
+    total = 0
     for t in sorted(twists):
         if t in seen:
             continue
-        tbar = tuple(sorted(RootOfUnity(-v.numerator, v.denominator) for v in t))
+        tbar = tuple(sorted(-x % modulus for x in t))
         seen.update((t, tbar))
         members = (t,) if tbar == t else (t, tbar)
-        ages = [sum(m, Fraction(0)) for m in members]
+        ages = [sum(m) for m in members]
         min_age = min(ages)
         chosen = members[ages.index(min_age)]
-        classes.append(OrbitClass(members, min_age, chosen))
+        classes.append(OrbitClass(tuple(lift(m) for m in members), Fraction(min_age, modulus), lift(chosen)))
         total += min_age
-    return AvOrbitResult(total, 0 < total < 1, tuple(classes), modulus)
+    return AvOrbitResult(Fraction(total, modulus), 0 < total < modulus, tuple(classes), modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -336,41 +354,48 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
 
     Branch-and-bound over one side per conjugate pair of units; the union
     only grows along a branch, so pruning at the current best is sound.
+    A twist value x/M is the int x, and the union is a bitmask of them.
     """
-    modulus = math.lcm(alpha.order, beta.order)
+    modulus, (a, b) = _over_common_modulus((alpha, beta))
     options = []
     for pair in unit_classes(modulus).pairs:
         sides = []
         for u in pair:
-            vals = frozenset((_twist(u, alpha), _twist(u, beta)))
-            sides.append((sum(vals, Fraction(0)), u, vals))
+            vals = {u * a % modulus, u * b % modulus}
+            sides.append((sum(vals), u, tuple((x, 1 << x) for x in vals)))
         if len(sides) == 1:
             sides.append(sides[0])
         sides.sort(key=lambda s: (s[0], s[1]))
         options.append(tuple(sides))
     options.sort(key=lambda sides: (-sides[0][0], sides[0][1]))
 
-    best_sum = None
+    depth = len(options)
+    best_sum = modulus * modulus  # above any sum of distinct residues mod M
     best_units: tuple[int, ...] = ()
-    best_values: frozenset = frozenset()
+    best_mask = 0
     chosen: list[int] = []
 
-    def rec(i: int, acc: frozenset, acc_sum: Fraction):
-        nonlocal best_sum, best_units, best_values
-        if best_sum is not None and acc_sum >= best_sum:
+    def rec(i: int, mask: int, acc_sum: int):
+        nonlocal best_sum, best_units, best_mask
+        if acc_sum >= best_sum:
             return
-        if i == len(options):
-            best_sum, best_units, best_values = acc_sum, tuple(chosen), acc
+        if i == depth:
+            best_sum, best_units, best_mask = acc_sum, tuple(chosen), mask
             return
         for _, u, vals in options[i]:
-            new = vals - acc
+            new_mask, new_sum = mask, acc_sum
+            for x, bit in vals:
+                if not new_mask & bit:
+                    new_mask |= bit
+                    new_sum += x
             chosen.append(u)
-            rec(i + 1, acc | new, acc_sum + sum(new, Fraction(0)))
+            rec(i + 1, new_mask, new_sum)
             chosen.pop()
 
-    rec(0, frozenset(), Fraction(0))
+    rec(0, 0, 0)
     witness = SigmaWitness(modulus, tuple(sorted(set(best_units))))
-    return best_sum, witness, tuple(sorted(best_values))
+    values = tuple(RootOfUnity(x, modulus) for x in range(modulus) if best_mask >> x & 1)
+    return Fraction(best_sum, modulus), witness, values
 
 
 @dataclass(frozen=True)
@@ -503,21 +528,22 @@ class MultisetEnumeration:
 
 def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
     """All multisets using every listed value at least once with total sum < 1."""
+    modulus, scaled = _over_common_modulus(values)
     out = []
     k = len(values)
 
-    def rec(i: int, current: list, acc: Fraction):
+    def rec(i: int, current: list, acc: int):
         if i == k:
             out.append(tuple(current))
             return
-        v = values[i]
-        rest = sum(values[i + 1:], Fraction(0))
+        v, x = values[i], scaled[i]
+        rest = sum(scaled[i + 1:])
         mult = 1
-        while acc + mult * v + rest < 1:
-            rec(i + 1, current + [v] * mult, acc + mult * v)
+        while acc + mult * x + rest < modulus:
+            rec(i + 1, current + [v] * mult, acc + mult * x)
             mult += 1
 
-    rec(0, [], Fraction(0))
+    rec(0, [], 0)
     return out
 
 

@@ -108,6 +108,18 @@ class TestWitnessRoundTrip:
             assert main(["verify-witness", str(wfile)]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["value-union", "orbit-sets"])
+    def test_pair_witnesses_verify_at_published_bound(self, mode, tmp_path, capsys):
+        assert main(["--format", "json", "pair-search", "--f-max", "126", "--mode", mode]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        witnesses = payload["pairs"] + [entry["witness"] for entry in payload["conformance"]["extra"]]
+        assert payload["conformance"]["extra"]
+        wfile = tmp_path / "w.json"
+        for witness in witnesses:
+            wfile.write_text(json.dumps(witness))
+            assert main(["verify-witness", str(wfile)]) == 0, witness["pair"]
+            assert capsys.readouterr().out.startswith("verified: ")
+
     def test_order_witness_verifies(self, tmp_path, capsys):
         assert main(["--format", "json", "orders-scan", "--bound", "30"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -203,6 +215,23 @@ class TestWitnessRoundTrip:
         wfile = tmp_path / "w.json"
         wfile.write_text(json.dumps(entry["witness"]))
         assert main(["verify-witness", str(wfile)]) == 0
+
+
+# The galois-search commands of the benchmark and the stdout snapshots they must reproduce.
+GALOIS_SNAPSHOTS = {
+    "orders-scan-372": ("orders-scan", "--bound", "372"),
+    "pair-search-126-value-union": ("pair-search", "--f-max", "126", "--mode", "value-union"),
+    "pair-search-126-orbit-sets": ("pair-search", "--f-max", "126", "--mode", "orbit-sets"),
+    "multisets-orbit-sets": ("multisets", "--mode", "orbit-sets"),
+}
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("name", sorted(GALOIS_SNAPSHOTS))
+    def test_stdout_byte_identical(self, name, capsys):
+        assert main(["--format", "json", "--threads", "1", *GALOIS_SNAPSHOTS[name]]) == 0
+        expected = (REPO / "bench" / "snapshots" / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
 
 
 class TestDeterminism:

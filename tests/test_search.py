@@ -3,15 +3,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reidtai.roots import RootOfUnity, unit_classes
+from reidtai.roots import RootOfUnity, euler_phi, unit_classes
 from reidtai.search import (
     CONFIRMED_ORDERS,
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
     REFERENCE_MULTISETS,
     REFERENCE_PAIRS,
+    AvOrbitResult,
+    OrbitClass,
+    SigmaWitness,
+    _multiplicity_variants,
     _subset_min_sum,
+    _value_union_minimum,
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
@@ -80,6 +87,132 @@ def _same_order_min_oracle(n, dim):
         if best is None or age < best:
             best = age
     return best
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer search kernels
+# ---------------------------------------------------------------------------
+#
+# The same algorithms carried out on Fraction values: same sorts, same
+# prune, same tie-breaks.  The kernels must return equal results, witnesses
+# included.
+
+
+def _twist(k, v):
+    return RootOfUnity(k * v.numerator, v.denominator)
+
+
+def _value_union_minimum_reference(alpha, beta):
+    modulus = math.lcm(alpha.order, beta.order)
+    options = []
+    for pair in unit_classes(modulus).pairs:
+        sides = []
+        for u in pair:
+            vals = frozenset((_twist(u, alpha), _twist(u, beta)))
+            sides.append((sum(vals, Fraction(0)), u, vals))
+        if len(sides) == 1:
+            sides.append(sides[0])
+        sides.sort(key=lambda s: (s[0], s[1]))
+        options.append(tuple(sides))
+    options.sort(key=lambda sides: (-sides[0][0], sides[0][1]))
+
+    best_sum = None
+    best_units = ()
+    best_values = frozenset()
+    chosen = []
+
+    def rec(i, acc, acc_sum):
+        nonlocal best_sum, best_units, best_values
+        if best_sum is not None and acc_sum >= best_sum:
+            return
+        if i == len(options):
+            best_sum, best_units, best_values = acc_sum, tuple(chosen), acc
+            return
+        for _, u, vals in options[i]:
+            new = vals - acc
+            chosen.append(u)
+            rec(i + 1, acc | new, acc_sum + sum(new, Fraction(0)))
+            chosen.pop()
+
+    rec(0, frozenset(), Fraction(0))
+    witness = SigmaWitness(modulus, tuple(sorted(set(best_units))))
+    return best_sum, witness, tuple(sorted(best_values))
+
+
+def _av_orbit_feasibility_reference(values):
+    ms = tuple(sorted(RootOfUnity(Fraction(v)) for v in values))
+    modulus = math.lcm(*[v.order for v in ms])
+    twists = {}
+    for k in unit_classes(modulus).units:
+        twists.setdefault(tuple(sorted(_twist(k, v) for v in ms)))
+    classes = []
+    seen = set()
+    total = Fraction(0)
+    for t in sorted(twists):
+        if t in seen:
+            continue
+        tbar = tuple(sorted(RootOfUnity(-v.numerator, v.denominator) for v in t))
+        seen.update((t, tbar))
+        members = (t,) if tbar == t else (t, tbar)
+        ages = [sum(m, Fraction(0)) for m in members]
+        min_age = min(ages)
+        chosen = members[ages.index(min_age)]
+        classes.append(OrbitClass(members, min_age, chosen))
+        total += min_age
+    return AvOrbitResult(total, 0 < total < 1, tuple(classes), modulus)
+
+
+def _multiplicity_variants_reference(values):
+    out = []
+    k = len(values)
+
+    def rec(i, current, acc):
+        if i == k:
+            out.append(tuple(current))
+            return
+        v = values[i]
+        rest = sum(values[i + 1:], Fraction(0))
+        mult = 1
+        while acc + mult * v + rest < 1:
+            rec(i + 1, current + [v] * mult, acc + mult * v)
+            mult += 1
+
+    rec(0, [], Fraction(0))
+    return out
+
+
+@st.composite
+def _nonzero_roots(draw, max_modulus, min_size, max_size):
+    """Nonzero roots a/M over one drawn M <= max_modulus, so the lcm of their orders divides M.
+
+    M has at most 8 conjugate pairs of units: the value-union tree has up to
+    2^(pairs) leaves, and on a conjugate pair {a/M, -a/M} every branch ties,
+    so nothing is pruned before the leaves.
+    """
+    modulus = draw(st.sampled_from([m for m in range(2, max_modulus + 1) if euler_phi(m) <= 16]))
+    numerators = draw(st.lists(st.integers(1, modulus - 1), min_size=min_size, max_size=max_size))
+    return [RootOfUnity(a, modulus) for a in numerators]
+
+
+_PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerKernelsMatchFractionReferences:
+    @_PROPERTY_SETTINGS
+    @given(_nonzero_roots(60, 2, 2))
+    def test_value_union_minimum(self, pair):
+        assert _value_union_minimum(*pair) == _value_union_minimum_reference(*pair)
+
+    @_PROPERTY_SETTINGS
+    @given(_nonzero_roots(60, 2, 4))
+    def test_av_orbit_feasibility(self, values):
+        assert av_orbit_feasibility(values) == _av_orbit_feasibility_reference(values)
+
+    @_PROPERTY_SETTINGS
+    @given(_nonzero_roots(24, 1, 3))
+    def test_multiplicity_variants(self, values):
+        values = tuple(sorted(set(values)))
+        assert _multiplicity_variants(values) == _multiplicity_variants_reference(values)
 
 
 # ---------------------------------------------------------------------------
