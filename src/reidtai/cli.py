@@ -26,7 +26,6 @@ from .search import (
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
     SigmaWitness,
-    av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
     feasible_orders,
@@ -79,14 +78,19 @@ def _load_action(path: str, cap: int):
         raise InputError(f"bad input file {path}: {exc}") from exc
 
 
-def _emit(payload: dict, fmt: str, table_renderer=None) -> None:
+def _load_complex_matrix(path: str, what: str) -> list[list[complex]]:
+    raw = _load_json(path)
+    try:
+        return [[complex(re, im) for re, im in row] for row in raw]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
+
+
+def _emit(payload: dict, fmt: str, table_renderer) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        if table_renderer is None:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            table_renderer(payload)
+        table_renderer(payload)
 
 
 def _conformance_exit(report_json: dict, strict: bool) -> int:
@@ -252,10 +256,7 @@ def _cmd_simple_av_screen(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
-    try:
-        group = g_group(args.m, args.p, args.n, cap=args.cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    group = g_group(args.m, args.p, args.n, cap=args.cap)
     report = prop_prod_check(group, reflection_rep=args.reflection_rep, cap=args.cap)
     payload = {
         "schema": 1,
@@ -313,15 +314,8 @@ def _cmd_deviation(args) -> int:
         return EXIT_OK
     if not args.matrix:
         raise InputError("need --spectrum or --matrix")
-    raw = _load_json(args.matrix)
-    try:
-        matrix = [[complex(re, im) for re, im in row] for row in raw]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad matrix file {args.matrix}: {exc}") from exc
-    basis = None
-    if args.basis:
-        raw_b = _load_json(args.basis)
-        basis = [[complex(re, im) for re, im in row] for row in raw_b]
+    matrix = _load_complex_matrix(args.matrix, "matrix")
+    basis = _load_complex_matrix(args.basis, "basis") if args.basis else None
     try:
         report = dev.deviation_wrt_basis(matrix, basis)
     except ValueError as exc:
@@ -342,6 +336,30 @@ def _cmd_extraspecial_scan(args) -> int:
 
     _emit(payload, args.format, render)
     return EXIT_OK
+
+
+def _orbit_total(values: list[Fraction]) -> Fraction:
+    """The orbit-sets total from its definition, independently of the search.
+
+    Distinct Galois twists of the multiset, as sorted tuples, fall into
+    conjugation classes; the total is the sum of each class's minimal age.
+    """
+    values = [v % 1 for v in values]
+    if not values or 0 in values:
+        raise ValueError("orbit-sets values must be nonzero roots of unity")
+    modulus = math.lcm(*(v.denominator for v in values))
+    twists = {
+        tuple(sorted(k * v % 1 for v in values)) for k in range(1, modulus) if math.gcd(k, modulus) == 1
+    }
+    total = Fraction(0)
+    seen = set()
+    for t in twists:
+        if t in seen:
+            continue
+        tbar = tuple(sorted(-v % 1 for v in t))
+        seen.update((t, tbar))
+        total += min(sum(t, Fraction(0)), sum(tbar, Fraction(0)))
+    return total
 
 
 def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
@@ -372,13 +390,12 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
             return False, "feasibility flag inconsistent with the sum"
         return True, f"value union sums to {total}"
     if kind == f"pair-{MODE_ORBIT_SETS}":
-        pair = [Fraction(v) for v in payload["pair"]]
-        result = av_orbit_feasibility(pair)
-        if str(result.total) != payload["minimal_sum"]:
-            return False, f"orbit total mismatch: recomputed {result.total}"
-        if payload["feasible"] != result.feasible:
+        total = _orbit_total([Fraction(v) for v in payload["pair"]])
+        if str(total) != payload["minimal_sum"]:
+            return False, f"orbit total mismatch: recomputed {total}"
+        if payload["feasible"] != (0 < total < 1):
             return False, "feasibility flag inconsistent with the orbit total"
-        return True, f"orbit total {result.total}"
+        return True, f"orbit total {total}"
     if kind == "multiset":
         values = [Fraction(v) for v in payload["values"]]
         total = sum(values, Fraction(0))
@@ -391,11 +408,11 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
         if total >= 1:
             return False, f"sum {total} >= 1"
         if "orbit_total" in payload:
-            result = av_orbit_feasibility(values)
-            if str(result.total) != payload["orbit_total"]:
-                return False, f"orbit total mismatch: recomputed {result.total}"
-            if not 0 < result.total < 1:
-                return False, f"orbit total {result.total} outside (0, 1)"
+            orbit_total = _orbit_total(values)
+            if str(orbit_total) != payload["orbit_total"]:
+                return False, f"orbit total mismatch: recomputed {orbit_total}"
+            if not 0 < orbit_total < 1:
+                return False, f"orbit total {orbit_total} outside (0, 1)"
         return True, f"sum {total}"
     raise InputError(f"unknown witness kind {kind!r}")
 
@@ -414,7 +431,10 @@ def _cmd_verify_witness(args) -> int:
 
 def _cmd_golden(args) -> int:
     if args.write:
-        written = golden_mod.write_golden(args.dir)
+        try:
+            written = golden_mod.write_golden(args.dir)
+        except OSError as exc:
+            raise InputError(f"cannot write golden files to {args.dir}: {exc}") from exc
         print("wrote " + ", ".join(written))
         return EXIT_OK
     mismatches = golden_mod.check_golden(args.dir)

@@ -38,7 +38,6 @@ __all__ = [
     "snf",
     "solve_torus_congruence",
     "sublattice_from_rows",
-    "sublattice_sum",
     "transpose",
     "unimodular_inverse",
     "zero_sublattice",
@@ -80,30 +79,6 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
         base = mat_mul(base, base)
         k >>= 1
     return result
-
-
-def _det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +280,6 @@ def sublattice_from_rows(ambient_rank: int, rows: Iterable[Sequence[int]]) -> Su
     return Sublattice(ambient_rank, basis)
 
 
-def sublattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    return sublattice_from_rows(a.ambient_rank, a.basis + b.basis)
-
-
 def saturate(s: Sublattice) -> Sublattice:
     """The largest sublattice of Z^n with the same rational span (idempotent)."""
     # The HNF basis rows are independent, so rank(s) rows span the saturation.
@@ -445,12 +414,12 @@ def _finite_order_factors(m: IntMatrix) -> dict[int, int] | None:
     The order of any finite-order element of GL_n(Z) divides
     lcm{d : phi(d) <= n}; here it is read off the cyclotomic factorization
     of the characteristic polynomial and confirmed with a single power.
+    A product of cyclotomic polynomials has constant term +-1, so a matrix
+    with |det| != 1 already fails the factorization.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if abs(_det(m)) != 1:
-        return None
     factors = _cyclotomic_factorization(charpoly(m), n)
     if factors is None or mat_pow(m, math.lcm(*factors)) != identity(n):
         return None

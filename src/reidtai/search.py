@@ -355,18 +355,17 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     Branch-and-bound over one side per conjugate pair of units; the union
     only grows along a branch, so pruning at the current best is sound.
     A twist value x/M is the int x, and the union is a bitmask of them.
+    Sides u and -u give the same value set exactly when b = -a; a second
+    copy of a side could never beat the first, so only the smaller u is
+    kept, and a conjugate pair {a, -a} is one path instead of 2^pairs leaves.
     """
     modulus, (a, b) = _over_common_modulus((alpha, beta))
     options = []
     for pair in unit_classes(modulus).pairs:
-        sides = []
-        for u in pair:
-            vals = {u * a % modulus, u * b % modulus}
-            sides.append((sum(vals), u, tuple((x, 1 << x) for x in vals)))
-        if len(sides) == 1:
-            sides.append(sides[0])
-        sides.sort(key=lambda s: (s[0], s[1]))
-        options.append(tuple(sides))
+        sides: dict[frozenset[int], int] = {}
+        for u in pair:  # smaller unit first
+            sides.setdefault(frozenset((u * a % modulus, u * b % modulus)), u)
+        options.append(sorted((sum(vals), u, tuple((x, 1 << x) for x in vals)) for vals, u in sides.items()))
     options.sort(key=lambda sides: (-sides[0][0], sides[0][1]))
 
     depth = len(options)

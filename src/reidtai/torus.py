@@ -114,7 +114,11 @@ class AffineTorusMap:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AffineTorusMap":
-        return cls(mat(payload["matrix"]), tuple(Fraction(s) for s in payload["translation"]))
+        matrix = payload["matrix"]
+        bad = [x for row in matrix for x in row if type(x) is not int]  # mat() would read 1.5 and true as 1
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
+        return cls(mat(matrix), tuple(Fraction(s) for s in payload["translation"]))
 
 
 def affine_identity(n: int) -> AffineTorusMap:
@@ -240,7 +244,11 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> TorusAction:
 
 
 def _pullback(sub: Sublattice, quotient_sub: Sublattice) -> Sublattice:
-    """Preimage in Z^n of a sublattice of the quotient Z^n / sub."""
+    """Preimage in Z^n of a sublattice of the quotient Z^n / sub.
+
+    With sub and quotient_sub saturated, Z^n / preimage is the torsion-free
+    Z^{n-r} / quotient_sub, so the preimage is saturated as built.
+    """
     n = sub.ambient_rank
     r = sub.rank
     p = adapted_unimodular(sub)
@@ -248,7 +256,7 @@ def _pullback(sub: Sublattice, quotient_sub: Sublattice) -> Sublattice:
     rows = list(sub.basis)
     for w in quotient_sub.basis:
         rows.append(mat_vec(q, (0,) * r + tuple(w)))
-    return saturate(sublattice_from_rows(n, rows))
+    return sublattice_from_rows(n, rows)
 
 
 @dataclass(frozen=True)

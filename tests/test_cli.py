@@ -87,6 +87,20 @@ class TestTorusCommands:
     def test_missing_file_exit_2(self):
         assert main(["av-verdict", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("entry", [-1.5, True], ids=["float", "bool"])
+    def test_non_integer_matrix_entry_exit_2(self, entry, tmp_path, capsys):
+        # mat() alone would read -1.5 as -1 and true as 1
+        bad = tmp_path / "bad_entry.json"
+        bad.write_text(json.dumps({
+            "rank": 1,
+            "generators": [{"matrix": [[entry]], "translation": ["1/2"]}],
+        }))
+        for command in ("filtration", "av-verdict"):
+            assert main([command, str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input file")
+
     def test_infinite_order_generator_exit_2(self, tmp_path):
         bad = tmp_path / "bad_gen.json"
         bad.write_text(json.dumps({
@@ -208,6 +222,57 @@ class TestWitnessRoundTrip:
         wfile.write_text(json.dumps(entry["witness"]))
         assert main(["verify-witness", str(wfile)]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [("pair-search", "--f-max", "12", "--mode", "orbit-sets"), ("multisets", "--f-max", "12", "--mode", "orbit-sets")],
+        ids=["pair-orbit-sets", "multiset-orbit-total"],
+    )
+    def test_orbit_witness_checked_independently(self, command, tmp_path, monkeypatch, capsys):
+        # The verifier must not trust the routine that made the witness: a
+        # search whose orbit totals are all off by 1/M emits witnesses that fail.
+        import dataclasses
+
+        import reidtai.search as search
+
+        original = search.av_orbit_feasibility
+
+        def off_by_one_step(values):
+            result = original(values)
+            total = result.total + Fraction(1, result.modulus)
+            return dataclasses.replace(result, total=total, feasible=0 < total < 1)
+
+        monkeypatch.setattr(search, "av_orbit_feasibility", off_by_one_step)
+        monkeypatch.setattr("reidtai.cli.av_orbit_feasibility", off_by_one_step, raising=False)
+        assert main(["--format", "json", *command]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        witnesses = payload.get("pairs", []) + [entry["witness"] for entry in payload["conformance"]["extra"]]
+        assert witnesses
+        wfile = tmp_path / "w.json"
+        for witness in witnesses:
+            wfile.write_text(json.dumps(witness))
+            assert main(["verify-witness", str(wfile)]) == 1, witness
+            assert capsys.readouterr().out.startswith("FAILED: orbit total mismatch")
+
+    def test_conjugate_pair_search_terminates(self, tmp_path):
+        # {1/59, 58/59}: sides u and -u of each of the 29 conjugate pairs of
+        # units give one value set; searching both sides would walk 2^29 leaves.
+        code = (
+            "import json\n"
+            "from reidtai.search import pair_feasible\n"
+            "print(json.dumps(pair_feasible(1, 58, 59).witness_json()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        witness = json.loads(result.stdout)
+        assert witness["minimal_sum"] == "29" and witness["feasible"] is False
+        wfile = tmp_path / "w.json"
+        wfile.write_text(result.stdout)
+        verified = run_cli("verify-witness", str(wfile))
+        assert verified.returncode == 0
+        assert verified.stdout.startswith("verified: ")
+
     def test_orbit_pair_witness_verifies(self, tmp_path, capsys):
         assert main(["--format", "json", "pair-search", "--f-max", "12", "--mode", "orbit-sets"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -268,6 +333,13 @@ class TestGolden:
         assert main(["golden", "--dir", str(tmp_path)]) == 0
         for name in ("table1.json", "table2.json", "pairs.json", "orders.json", "multisets.json"):
             assert json.loads((tmp_path / name).read_text())["schema"] == 1
+
+    def test_write_into_regular_file_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "not_a_dir"
+        target.write_text("keep")
+        assert main(["golden", "--write", "--dir", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write golden files")
+        assert target.read_text() == "keep"
 
 
 class TestMonomialCommand:
@@ -361,6 +433,14 @@ class TestDeviationCommand:
         payload = json.loads(capsys.readouterr().out)
         # both rotated basis vectors move by sqrt(2)
         assert abs(payload["total"] - 2 * 2**0.5) < 1e-9
+
+    def test_malformed_basis_file_exit_2(self, tmp_path, capsys):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps([[[0, 1]]]))
+        bfile = tmp_path / "b.json"
+        bfile.write_text(json.dumps([[1], [2]]))  # entries are not [re, im] pairs
+        assert main(["deviation", "--matrix", str(mfile), "--basis", str(bfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad basis file")
 
     def test_simple_av_screen(self, capsys):
         assert main(["--format", "json", "simple-av-screen", "--dim", "4"]) == 0
