@@ -5,66 +5,86 @@ machine searches classifying exceptional eigenvalue data, exact integer
 lattice computations deciding Kodaira verdicts for finite quotients of
 tori, imprimitive monomial group scans, and numeric deviation bounds for
 unitary operators.
+
+The names below are loaded from their submodule on first access (PEP 562),
+so ``import reidtai`` costs nothing until a name is used, and only the
+deviation names load numpy.
 """
 
-from .roots import RootOfUnity, UnitClasses, conjugate, galois_apply, normalize, unit_classes
-from .spectra import Spectrum, blichfeldt_violating, satisfies_rt
-from .lattice import (
-    IntMatrix,
-    SmithDecomposition,
-    Sublattice,
-    cyclotomic_spectrum,
-    hnf,
-    matrix_order,
-    saturate,
-    snf,
-    solve_torus_congruence,
-    sublattice_from_rows,
-)
-from .search import (
-    MODE_ORBIT_SETS,
-    MODE_VALUE_UNION,
-    av_orbit_feasibility,
-    classify_pairs,
-    enumerate_exceptional_multisets,
-    feasible_orders,
-    min_age_same_order,
-    min_halforbit_sum,
-    pair_feasible,
-    table1,
-)
-from .monomial import (
-    MonomialElement,
-    MonomialGroup,
-    g_group,
-    imprimitive_classification,
-    monomial_closure,
-    normal_closure,
-    prop_prod_check,
-    spectrum_of,
-)
-from .torus import (
-    KODAIRA_ZERO,
-    RATIONALLY_CONNECTED,
-    UNIRULED_NOT_RC,
-    AffineTorusMap,
-    TorusAction,
-    closure,
-    exceptional_elements,
-    filtration,
-    rt_subgroup,
-    rt_tangent_sublattice,
-    simple_av_screen,
-    verdict,
-)
-from .deviation import (
-    deviation_wrt_basis,
-    eigenbasis_deviation,
-    extraspecial_bound,
-    extraspecial_scan,
-    invariant_dimension,
-    product_bound_check,
-    tensor_perm_trace_check,
-)
+import importlib
 
+_EXPORTS = {
+    "roots": ("RootOfUnity", "UnitClasses", "conjugate", "galois_apply", "normalize", "unit_classes"),
+    "spectra": ("Spectrum", "blichfeldt_violating", "satisfies_rt"),
+    "lattice": (
+        "IntMatrix",
+        "SmithDecomposition",
+        "Sublattice",
+        "cyclotomic_spectrum",
+        "hnf",
+        "matrix_order",
+        "saturate",
+        "snf",
+        "solve_torus_congruence",
+        "sublattice_from_rows",
+    ),
+    "search": (
+        "MODE_ORBIT_SETS",
+        "MODE_VALUE_UNION",
+        "av_orbit_feasibility",
+        "classify_pairs",
+        "enumerate_exceptional_multisets",
+        "feasible_orders",
+        "min_age_same_order",
+        "min_halforbit_sum",
+        "pair_feasible",
+        "table1",
+    ),
+    "monomial": (
+        "MonomialElement",
+        "MonomialGroup",
+        "g_group",
+        "imprimitive_classification",
+        "monomial_closure",
+        "normal_closure",
+        "prop_prod_check",
+        "spectrum_of",
+    ),
+    "torus": (
+        "KODAIRA_ZERO",
+        "RATIONALLY_CONNECTED",
+        "UNIRULED_NOT_RC",
+        "AffineTorusMap",
+        "TorusAction",
+        "closure",
+        "exceptional_elements",
+        "filtration",
+        "rt_subgroup",
+        "rt_tangent_sublattice",
+        "simple_av_screen",
+        "verdict",
+    ),
+    "deviation": (
+        "deviation_wrt_basis",
+        "eigenbasis_deviation",
+        "extraspecial_bound",
+        "extraspecial_scan",
+        "invariant_dimension",
+        "product_bound_check",
+        "tensor_perm_trace_check",
+    ),
+}
+# name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "golden", "groups", "options"})
+
+__all__ = list(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

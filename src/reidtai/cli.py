@@ -17,24 +17,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import deviation as dev
-from . import golden as golden_mod
+# Each handler imports the engine it runs, so a command loads only its own
+# modules; numpy comes in with `deviation` alone.
 from .groups import GroupTooLargeError
-from .monomial import g_group, g_group_order, imprimitive_classification, prop_prod_check
-from .roots import RootOfUnity
-from .search import (
-    MODE_ORBIT_SETS,
-    MODE_VALUE_UNION,
-    SigmaWitness,
-    classify_pairs,
-    enumerate_exceptional_multisets,
-    feasible_orders,
-    min_age_same_order,
-    table1,
-    worker_count,
-)
-from .spectra import Spectrum
-from .torus import AffineTorusMap, closure, filtration, simple_av_screen
+from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, worker_count
 
 EXIT_OK = 0
 EXIT_CONFORMANCE = 1
@@ -45,7 +31,9 @@ class InputError(Exception):
     pass
 
 
-def _parse_spectrum(text: str) -> Spectrum:
+def _parse_spectrum(text: str):
+    from .spectra import Spectrum
+
     try:
         return Spectrum(Fraction(part.strip()) for part in text.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -64,6 +52,8 @@ def _load_json(path: str) -> dict:
 
 
 def _load_action(path: str, cap: int):
+    from .torus import AffineTorusMap, closure
+
     payload = _load_json(path)
     try:
         rank = payload["rank"]
@@ -138,6 +128,8 @@ def _cmd_rt_check(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .search import table1
+
     rows = table1()
     payload = {"schema": 1, "rows": [r.to_json() for r in rows]}
 
@@ -151,6 +143,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_orders_scan(args) -> int:
+    from .search import feasible_orders
+
     computed, report = feasible_orders(args.bound, threads=args.threads)
     payload = {
         "schema": 1,
@@ -169,6 +163,8 @@ def _cmd_orders_scan(args) -> int:
 
 
 def _cmd_pair_search(args) -> int:
+    from .search import classify_pairs
+
     classes, report = classify_pairs(args.f_max, args.mode, threads=args.threads)
     payload = {
         "schema": 1,
@@ -189,6 +185,8 @@ def _cmd_pair_search(args) -> int:
 
 
 def _cmd_multisets(args) -> int:
+    from .search import enumerate_exceptional_multisets
+
     result = enumerate_exceptional_multisets(args.mode, args.f_max, threads=args.threads)
     payload = {"schema": 1, **result.to_json()}
 
@@ -203,6 +201,8 @@ def _cmd_multisets(args) -> int:
 
 
 def _cmd_same_order_screen(args) -> int:
+    from .search import min_age_same_order
+
     age = min_age_same_order(args.n, args.dim)
     payload = {
         "schema": 1,
@@ -220,6 +220,8 @@ def _cmd_same_order_screen(args) -> int:
 
 
 def _cmd_av_verdict(args) -> int:
+    from .torus import filtration
+
     action = _load_action(args.input, args.cap)
     report = filtration(action)
     payload = {"schema": 1, "verdict": report.verdict, "order": action.order}
@@ -228,6 +230,8 @@ def _cmd_av_verdict(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    from .torus import filtration
+
     action = _load_action(args.input, args.cap)
     report = filtration(action)
     payload = report.to_json()
@@ -243,6 +247,8 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_simple_av_screen(args) -> int:
+    from .torus import simple_av_screen
+
     report = simple_av_screen(args.dim, d_max=args.bound)
     payload = report.to_json()
 
@@ -256,6 +262,8 @@ def _cmd_simple_av_screen(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
+    from .monomial import g_group, g_group_order, prop_prod_check
+
     group = g_group(args.m, args.p, args.n, cap=args.cap)
     report = prop_prod_check(group, reflection_rep=args.reflection_rep, cap=args.cap)
     payload = {
@@ -281,6 +289,8 @@ def _cmd_monomial_check(args) -> int:
 
 
 def _cmd_imprimitive_cases(args) -> int:
+    from .monomial import imprimitive_classification
+
     records = imprimitive_classification()
     payload = {"schema": 1, "cases": [r.to_json() for r in records]}
 
@@ -298,6 +308,8 @@ def _cmd_imprimitive_cases(args) -> int:
 
 
 def _cmd_deviation(args) -> int:
+    from . import deviation as dev
+
     if args.spectrum:
         s = _parse_spectrum(args.spectrum)
         age = s.age()
@@ -326,6 +338,8 @@ def _cmd_deviation(args) -> int:
 
 
 def _cmd_extraspecial_scan(args) -> int:
+    from . import deviation as dev
+
     records = dev.extraspecial_scan(args.max_dim)
     payload = {"schema": 1, "max_dim": args.max_dim, "records": [r.to_json() for r in records]}
 
@@ -363,6 +377,9 @@ def _orbit_total(values: list[Fraction]) -> Fraction:
 
 
 def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
+    from .roots import RootOfUnity
+    from .search import SigmaWitness
+
     kind = payload.get("kind")
     if kind == "order":
         d = payload["d"]
@@ -430,6 +447,8 @@ def _cmd_verify_witness(args) -> int:
 
 
 def _cmd_golden(args) -> int:
+    from . import golden as golden_mod
+
     if args.write:
         try:
             written = golden_mod.write_golden(args.dir)
@@ -437,7 +456,10 @@ def _cmd_golden(args) -> int:
             raise InputError(f"cannot write golden files to {args.dir}: {exc}") from exc
         print("wrote " + ", ".join(written))
         return EXIT_OK
-    mismatches = golden_mod.check_golden(args.dir)
+    try:
+        mismatches = golden_mod.check_golden(args.dir)
+    except OSError as exc:
+        raise InputError(f"cannot read golden files from {args.dir}: {exc}") from exc
     if mismatches:
         print("golden mismatches: " + ", ".join(mismatches))
         return EXIT_CONFORMANCE

@@ -86,6 +86,8 @@ def write_golden(directory: str | Path) -> list[str]:
 def check_golden(directory: str | Path) -> list[str]:
     """Names of golden files that are missing or differ from the computed data."""
     directory = Path(directory)
+    if directory.exists() and not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
     mismatches = []
     for name, payload in compute_golden().items():
         path = directory / name

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, generate
 from .roots import RootOfUnity
-from .search import REFERENCE_PAIRS
 from .spectra import Spectrum
 
 __all__ = [
@@ -389,6 +388,8 @@ def imprimitive_case_candidates() -> tuple[tuple[RootOfUnity, RootOfUnity | None
     an extra diagonal eigenvalue v is allowed when {1/2, v} is itself a
     classified pair.
     """
+    from .search import REFERENCE_PAIRS
+
     half = Fraction(1, 2)
     swap_rs = [RootOfUnity(0)]
     extras: list[RootOfUnity] = []

@@ -1,0 +1,27 @@
+"""Option values shared by the searches and the command line.
+
+Kept apart from ``search`` so that building the parser and checking
+``--threads`` do not load the search engine.
+"""
+
+from __future__ import annotations
+
+import os
+
+__all__ = ["MODE_ORBIT_SETS", "MODE_VALUE_UNION", "worker_count"]
+
+MODE_VALUE_UNION = "value-union"
+MODE_ORBIT_SETS = "orbit-sets"
+
+
+def worker_count(requested: int | None = None) -> int:
+    """Validated worker count (REIDTAI_THREADS overrides); searches ignore it and run serially."""
+    if requested is not None:
+        return max(1, int(requested))
+    env = os.environ.get("REIDTAI_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ValueError(f"REIDTAI_THREADS must be an integer, got {env!r}") from exc
+    return 1

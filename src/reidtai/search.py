@@ -26,11 +26,11 @@ witnesses.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, worker_count
 from .roots import RootOfUnity, unit_classes
 from .spectra import Spectrum
 
@@ -60,8 +60,6 @@ __all__ = [
     "worker_count",
 ]
 
-MODE_VALUE_UNION = "value-union"
-MODE_ORBIT_SETS = "orbit-sets"
 _MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
 
 # Published reference data the searches are diffed against.
@@ -104,19 +102,6 @@ REFERENCE_MULTISETS: tuple[tuple[str, tuple[RootOfUnity, ...]], ...] = (
     ("m", (_r(1, 4), _r(5, 12))),
     ("n", (_r(1, 12), _r(1, 4), _r(5, 12))),
 )
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Validated worker count (REIDTAI_THREADS overrides); searches ignore it and run serially."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("REIDTAI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"REIDTAI_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +198,6 @@ def table1() -> tuple[Table1Row, ...]:
         values = tuple(_r(u, n) for u in reps)
         rows.append(Table1Row(n, len(reps), values, total / len(reps)))
     return tuple(rows)
-
-
-def _subset_min_sum(d: int) -> Fraction:
-    """Second search path: exhaustive minimum over all representative choices."""
-    classes = unit_classes(d)
-    best = None
-    pairs = classes.pairs
-    choices = [[Fraction(u, d) for u in (pair if len(pair) == 2 else pair * 2)] for pair in pairs]
-
-    def rec(i: int, acc: Fraction):
-        nonlocal best
-        if best is not None and acc >= best:
-            return
-        if i == len(choices):
-            best = acc
-            return
-        for val in choices[i]:
-            rec(i + 1, acc + val)
-
-    rec(0, Fraction(0))
-    return best
 
 
 def feasible_orders(d_max: int = 372, threads: int | None = None) -> tuple[tuple[int, ...], ConformanceReport]:

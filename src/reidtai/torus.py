@@ -35,7 +35,6 @@ from .lattice import (
     unimodular_inverse,
     zero_sublattice,
 )
-from .search import CONFIRMED_ORDERS, feasible_orders, min_age_same_order
 from .spectra import Spectrum
 
 __all__ = [
@@ -118,7 +117,12 @@ class AffineTorusMap:
         bad = [x for row in matrix for x in row if type(x) is not int]  # mat() would read 1.5 and true as 1
         if bad:
             raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
-        return cls(mat(matrix), tuple(Fraction(s) for s in payload["translation"]))
+        translation = payload["translation"]
+        # Fraction() would read the float 0.1 as its binary expansion and true as 1
+        bad = [x for x in translation if type(x) not in (int, str)]
+        if bad:
+            raise ValueError(f"translation entry {bad[0]!r} is not an integer or a string")
+        return cls(mat(matrix), tuple(Fraction(s) for s in translation))
 
 
 def affine_identity(n: int) -> AffineTorusMap:
@@ -357,6 +361,8 @@ def simple_av_screen(dim: int, d_max: int = 372) -> SimpleAvScreenReport:
     literal half-orbit predicate additionally admits are screened
     separately so their survivors are visible but clearly marked.
     """
+    from .search import CONFIRMED_ORDERS, feasible_orders, min_age_same_order
+
     if dim < 1:
         raise ValueError("dim must be at least 1")
     computed, _ = feasible_orders(d_max)

@@ -34,7 +34,6 @@ from reidtai.search import (
     MODE_VALUE_UNION,
     REFERENCE_MULTISETS,
     REFERENCE_PAIRS,
-    _subset_min_sum,
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
@@ -53,6 +52,7 @@ from reidtai.torus import (
     filtration,
     simple_av_screen,
 )
+from search_oracles import subset_min_sum as _subset_min_sum
 
 F = Fraction
 

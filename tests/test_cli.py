@@ -101,6 +101,33 @@ class TestTorusCommands:
             assert captured.out == ""
             assert captured.err.startswith("error: bad input file")
 
+    @pytest.mark.parametrize("entry", [0.1, True], ids=["float", "bool"])
+    def test_non_exact_translation_entry_exit_2(self, entry, tmp_path, capsys):
+        # Fraction() alone would read 0.1 as 3602879701896397/36028797018963968 and true as 1
+        bad = tmp_path / "bad_translation.json"
+        bad.write_text(json.dumps({
+            "rank": 1,
+            "generators": [{"matrix": [[-1]], "translation": [entry]}],
+        }))
+        for command in ("filtration", "av-verdict"):
+            assert main([command, str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input file")
+
+    def test_integer_and_string_translations_read_exactly(self, tmp_path, capsys):
+        outputs = []
+        for translation in ([1, 0], ["0", "0"], ["1/2", "0"], ["0.5", 0]):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps({
+                "rank": 2,
+                "generators": [{"matrix": [[0, -1], [1, 0]], "translation": translation}],
+            }))
+            assert main(["--format", "json", "filtration", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[2] == outputs[3]
+
     def test_infinite_order_generator_exit_2(self, tmp_path):
         bad = tmp_path / "bad_gen.json"
         bad.write_text(json.dumps({
@@ -290,12 +317,37 @@ GALOIS_SNAPSHOTS = {
     "multisets-orbit-sets": ("multisets", "--mode", "orbit-sets"),
 }
 
+# The monomial-scan commands of the benchmark, G(m, p, n) by snapshot name.
+MONOMIAL_SNAPSHOTS = {
+    f"monomial-check-{m}-{p}-{n}": ("monomial-check", "--m", str(m), "--p", str(p), "--n", str(n))
+    for m, p, n in ((6, 1, 3), (5, 1, 3), (6, 2, 3), (3, 1, 4), (4, 1, 4), (6, 6, 4), (5, 5, 4), (6, 3, 4))
+}
+MONOMIAL_SNAPSHOTS["monomial-check-1-1-6-reflection-rep"] = (
+    "monomial-check", "--m", "1", "--p", "1", "--n", "6", "--reflection-rep",
+)
+
+TORUS_INPUTS = sorted((REPO / "demos" / "inputs").glob("*.json"))
+
 
 class TestSnapshots:
     @pytest.mark.parametrize("name", sorted(GALOIS_SNAPSHOTS))
     def test_stdout_byte_identical(self, name, capsys):
         assert main(["--format", "json", "--threads", "1", *GALOIS_SNAPSHOTS[name]]) == 0
         expected = (REPO / "bench" / "snapshots" / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL_SNAPSHOTS))
+    def test_monomial_stdout_byte_identical(self, name, capsys):
+        assert main(["--format", "json", "--threads", "1", *MONOMIAL_SNAPSHOTS[name]]) == 0
+        expected = (REPO / "bench" / "snapshots" / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("command", ["filtration", "av-verdict"])
+    @pytest.mark.parametrize("path", TORUS_INPUTS, ids=[p.stem for p in TORUS_INPUTS])
+    def test_torus_stdout_byte_identical(self, path, command, fmt, capsys):
+        assert main(["--format", fmt, command, str(path)]) == 0
+        expected = (REPO / "tests" / "snapshots" / f"{command}-{path.stem}-{fmt}.out").read_bytes()
         assert capsys.readouterr().out.encode() == expected
 
 
@@ -340,6 +392,14 @@ class TestGolden:
         assert main(["golden", "--write", "--dir", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write golden files")
         assert target.read_text() == "keep"
+
+    def test_check_against_regular_file_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "not_a_dir"
+        target.write_text("keep")
+        assert main(["golden", "--dir", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read golden files")
 
 
 class TestMonomialCommand:

@@ -17,7 +17,6 @@ from reidtai.search import (
     OrbitClass,
     SigmaWitness,
     _multiplicity_variants,
-    _subset_min_sum,
     _value_union_minimum,
     av_orbit_feasibility,
     classify_pairs,
@@ -28,6 +27,7 @@ from reidtai.search import (
     pair_feasible,
     table1,
 )
+from search_oracles import subset_min_sum as _subset_min_sum
 
 
 def R(a, d):
