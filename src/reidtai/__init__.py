@@ -76,7 +76,8 @@ _EXPORTS = {
 }
 # name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({*_EXPORTS, "cli", "golden", "groups", "options"})
+# the submodules an import of the package makes reachable as attributes
+_SUBMODULES = frozenset({*_EXPORTS, "groups"})
 
 __all__ = list(_SOURCE)
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ conformance report has missing or extra entries, and 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -21,6 +22,29 @@ from pathlib import Path
 # modules; numpy comes in with `deviation` alone.
 from .groups import GroupTooLargeError
 from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, worker_count
+
+# The engine entry points the handlers call, by defining module.  They are
+# also attributes of this module, loaded on first access (PEP 562).  The
+# first access binds all of them, so code that walks this module's namespace,
+# such as a tracer that rebinds a function wherever it is bound, finds each.
+_ENGINE_NAMES = {
+    "monomial": ("g_group", "g_group_order", "imprimitive_classification", "prop_prod_check"),
+    "roots": ("RootOfUnity",),
+    "search": ("SigmaWitness", "classify_pairs", "enumerate_exceptional_multisets", "feasible_orders",
+               "min_age_same_order", "table1"),
+    "spectra": ("Spectrum",),
+    "torus": ("AffineTorusMap", "closure", "filtration", "simple_av_screen"),
+}
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _ENGINE_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _ENGINE_NAMES.items():
+        engine = importlib.import_module(f".{module}", __package__)
+        globals().update((attr, getattr(engine, attr)) for attr in names)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFORMANCE = 1

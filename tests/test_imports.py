@@ -52,7 +52,7 @@ class TestNamespace:
         # in a fresh interpreter, where no test has imported a submodule yet
         code = (
             "import sys, reidtai\n"
-            f"for name in {[*PUBLIC, 'cli', 'golden', 'groups']!r}:\n"
+            f"for name in {[*PUBLIC, 'groups']!r}:\n"
             "    assert getattr(reidtai, name) is sys.modules['reidtai.' + name], name\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, timeout=120)
@@ -60,6 +60,27 @@ class TestNamespace:
 
     def test_unknown_name_raises_attribute_error(self):
         assert not hasattr(reidtai, "no_such_name")
+
+
+class TestCliEngineNames:
+    def test_first_access_binds_every_engine_name(self):
+        # in a fresh interpreter: importing the CLI binds no engine name, one access binds them all
+        code = (
+            "import sys, reidtai.cli as cli\n"
+            "assert 'prop_prod_check' not in vars(cli) and 'reidtai.monomial' not in sys.modules\n"
+            "cli.prop_prod_check\n"
+            "for module, names in cli._ENGINE_NAMES.items():\n"
+            "    for name in names:\n"
+            "        assert vars(cli)[name] is getattr(sys.modules['reidtai.' + module], name), name\n"
+            "assert 'reidtai.deviation' not in sys.modules and 'numpy' not in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_name_raises_attribute_error(self):
+        import reidtai.cli
+
+        assert not hasattr(reidtai.cli, "no_such_name")
 
 
 # Run one command in a fresh interpreter and report the reidtai and numpy modules it loaded.
