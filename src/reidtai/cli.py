@@ -169,7 +169,7 @@ def _cmd_table1(args) -> int:
 def _cmd_orders_scan(args) -> int:
     from .search import feasible_orders
 
-    computed, report = feasible_orders(args.bound, threads=args.threads)
+    computed, report = feasible_orders(args.bound)
     payload = {
         "schema": 1,
         "bound": args.bound,
@@ -189,7 +189,7 @@ def _cmd_orders_scan(args) -> int:
 def _cmd_pair_search(args) -> int:
     from .search import classify_pairs
 
-    classes, report = classify_pairs(args.f_max, args.mode, threads=args.threads)
+    classes, report = classify_pairs(args.f_max, args.mode)
     payload = {
         "schema": 1,
         "f_max": args.f_max,
@@ -211,7 +211,7 @@ def _cmd_pair_search(args) -> int:
 def _cmd_multisets(args) -> int:
     from .search import enumerate_exceptional_multisets
 
-    result = enumerate_exceptional_multisets(args.mode, args.f_max, threads=args.threads)
+    result = enumerate_exceptional_multisets(args.mode, args.f_max)
     payload = {"schema": 1, **result.to_json()}
 
     def render(p):

@@ -290,7 +290,9 @@ def adapted_unimodular(s: Sublattice) -> IntMatrix:
     """Unimodular matrix whose first rank(s) rows are a basis of the saturation of s.
 
     U*B = D*V^{-1}; dropping the elementary divisors leaves primitive rows.
-    Callers that need the quotient Z^n / s should saturate first.
+    The result is P = V^{-1}, so its transpose q = P^T, whose first rank(s)
+    columns span the saturation, has inverse q^{-1} = V^T.  Callers that need the quotient
+    Z^n / s should saturate first.
     """
     n = s.ambient_rank
     if s.rank == 0:

@@ -1,7 +1,8 @@
 """Option values shared by the searches and the command line.
 
 Kept apart from ``search`` so that building the parser and checking
-``--threads`` do not load the search engine.
+``--threads`` do not load the search engine.  ``worker_count`` has one
+caller, ``cli.main``: the library takes no thread argument.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ MODE_ORBIT_SETS = "orbit-sets"
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Validated worker count (REIDTAI_THREADS overrides); searches ignore it and run serially."""
+    """Validated worker count (REIDTAI_THREADS overrides); the CLI checks it; every search runs serially."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("REIDTAI_THREADS")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, worker_count
+from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION
 from .roots import RootOfUnity, unit_classes
 from .spectra import Spectrum
 
@@ -57,7 +57,6 @@ __all__ = [
     "min_halforbit_sum",
     "pair_feasible",
     "table1",
-    "worker_count",
 ]
 
 _MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
@@ -200,11 +199,10 @@ def table1() -> tuple[Table1Row, ...]:
     return tuple(rows)
 
 
-def feasible_orders(d_max: int = 372, threads: int | None = None) -> tuple[tuple[int, ...], ConformanceReport]:
+def feasible_orders(d_max: int = 372) -> tuple[tuple[int, ...], ConformanceReport]:
     """All d <= d_max whose minimal half-orbit sum is below 1, with conformance."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    worker_count(threads)  # validated, then ignored: the search runs serially
     sums = {d: min_halforbit_sum(d) for d in range(2, d_max + 1)}
     computed = tuple(d for d, (total, _) in sums.items() if total < 1)
 
@@ -445,14 +443,13 @@ def _pair_candidates(f_max: int) -> list[tuple[RootOfUnity, RootOfUnity]]:
 
 
 def classify_pairs(
-    f_max: int = 126, mode: str = MODE_VALUE_UNION, threads: int | None = None
+    f_max: int = 126, mode: str = MODE_VALUE_UNION
 ) -> tuple[tuple[PairClass, ...], ConformanceReport]:
     """All distinct reduced value pairs with lcm of orders <= f_max passing the mode predicate."""
     if f_max < 2:
         raise ValueError("f_max must be at least 2")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    worker_count(threads)  # validated, then ignored: the search runs serially
     decisions = (_decide_pair(a, b, mode) for a, b in _pair_candidates(f_max))
     classes = tuple(
         PairClass(d.pair, d.witness, d.minimal_sum, d)
@@ -510,9 +507,7 @@ def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOf
     return out
 
 
-def enumerate_exceptional_multisets(
-    mode: str = MODE_VALUE_UNION, f_max: int = 126, threads: int | None = None
-) -> MultisetEnumeration:
+def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 126) -> MultisetEnumeration:
     """Eigenvalue multisets with >= 2 distinct non-trivial values consistent with age < 1.
 
     Values are drawn from the classified pairs (value-union predicate) or
@@ -523,7 +518,7 @@ def enumerate_exceptional_multisets(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    classes, _ = classify_pairs(f_max, MODE_VALUE_UNION, threads=threads)
+    classes, _ = classify_pairs(f_max, MODE_VALUE_UNION)
     bases = {c.values for c in classes}
     bases.add(REFERENCE_TRIPLE)
     candidates = []

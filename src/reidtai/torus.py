@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, generate
 from .lattice import (
     IntMatrix,
     Sublattice,
-    adapted_unimodular,
     cyclotomic_spectrum,
     identity,
     mat,
@@ -29,6 +29,7 @@ from .lattice import (
     mat_vec,
     matrix_order,
     saturate,
+    snf,
     solve_torus_congruence,
     sublattice_from_rows,
     transpose,
@@ -118,6 +119,8 @@ class AffineTorusMap:
         if bad:
             raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
         translation = payload["translation"]
+        if type(translation) is not list:  # a string or an object would be iterated as its characters or keys
+            raise ValueError(f"translation {translation!r} is not a list")
         # Fraction() would read the float 0.1 as its binary expansion and true as 1
         bad = [x for x in translation if type(x) not in (int, str)]
         if bad:
@@ -174,22 +177,21 @@ class ExceptionalElement:
 
 
 def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
-    """Elements with a fixed point whose linear-part age lies in (0, 1)."""
+    """Elements with a fixed point whose linear-part age lies in (0, 1).
+
+    One spectrum per run of equal linear part (one run each in the canonical
+    order); the identity has age 0.
+    """
     out = []
-    spectra: dict[IntMatrix, Spectrum] = {}
-    for g in action.elements:
-        if g.is_identity():
-            continue
-        spec = spectra.get(g.linear)
-        if spec is None:
-            spec = cyclotomic_spectrum(g.linear)
-            spectra[g.linear] = spec
+    for linear, run in groupby(action.elements, key=lambda g: g.linear):
+        spec = cyclotomic_spectrum(linear)
         age = spec.age()
         if not 0 < age < 1:
             continue
-        solvable, x = solve_torus_congruence(g.linear, g.translation)
-        if solvable:
-            out.append(ExceptionalElement(g, spec, age, x))
+        for g in run:
+            solvable, x = solve_torus_congruence(linear, g.translation)
+            if solvable:
+                out.append(ExceptionalElement(g, spec, age, x))
     return tuple(out)
 
 
@@ -229,38 +231,27 @@ def _tangent_sublattice(n: int, exc: Sequence[ExceptionalElement]) -> Sublattice
     return saturate(sublattice_from_rows(n, rows))
 
 
-def _quotient_action(action: TorusAction, sub: Sublattice) -> TorusAction:
-    """Induced action on the quotient torus Z^n / sub (sub saturated, G-stable)."""
+def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction, IntMatrix]:
+    """Induced action on the quotient torus Z^n / sub (sub saturated, G-stable, rank >= 1).
+
+    Also returns q = P^T, P = V^{-1} from the Smith form U*B*V = D of sub's
+    basis, whose first rank(sub) columns span sub; q^{-1} = V^T is free.
+    """
     n = action.rank
     r = sub.rank
-    p = adapted_unimodular(sub)
-    q = transpose(p)
-    qinv = unimodular_inverse(q)
+    v = snf(sub.basis).v
+    q = transpose(unimodular_inverse(v))
+    qinv = transpose(v)
     induced = {}
-    for g in action.elements:
-        m2 = mat_mul(mat_mul(qinv, g.linear), q)
+    for linear, run in groupby(action.elements, key=lambda g: g.linear):
+        m2 = mat_mul(mat_mul(qinv, linear), q)
         if any(m2[i][j] != 0 for i in range(r, n) for j in range(r)):
             raise ArithmeticError("sublattice is not stable under the action")
         block = tuple(row[r:] for row in m2[r:])
-        induced[g] = AffineTorusMap(block, mat_vec(qinv[r:], g.translation))
+        for g in run:
+            induced[g] = AffineTorusMap(block, mat_vec(qinv[r:], g.translation))
     elements = sorted(set(induced.values()), key=AffineTorusMap.sort_key)
-    return TorusAction(n - r, tuple(elements), tuple(induced[g] for g in action.generators))
-
-
-def _pullback(sub: Sublattice, quotient_sub: Sublattice) -> Sublattice:
-    """Preimage in Z^n of a sublattice of the quotient Z^n / sub.
-
-    With sub and quotient_sub saturated, Z^n / preimage is the torsion-free
-    Z^{n-r} / quotient_sub, so the preimage is saturated as built.
-    """
-    n = sub.ambient_rank
-    r = sub.rank
-    p = adapted_unimodular(sub)
-    q = transpose(p)
-    rows = list(sub.basis)
-    for w in quotient_sub.basis:
-        rows.append(mat_vec(q, (0,) * r + tuple(w)))
-    return sublattice_from_rows(n, rows)
+    return TorusAction(n - r, tuple(elements), tuple(induced[g] for g in action.generators)), q
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,8 @@ def filtration(action: TorusAction) -> FiltrationReport:
     Stage 1 works on the given torus; each later stage recomputes the
     exceptional elements on the quotient by the current saturated
     sublattice (fixed points are re-verified there) and pulls the result
-    back.  Stops at stabilization or full rank.
+    back (saturated as built: Z^n modulo the preimage is torsion-free).
+    Stops at stabilization or full rank.
     """
     n = action.rank
     exc1 = exceptional_elements(action)
@@ -299,12 +291,14 @@ def filtration(action: TorusAction) -> FiltrationReport:
     counts = [len(exc1)]
     if exc1:
         while current.rank < n:
-            quotient = _quotient_action(action, current)
+            quotient, q = _quotient_action(action, current)
             exc_q = exceptional_elements(quotient)
             counts.append(len(exc_q))
             if not exc_q:
                 break
-            nxt = _pullback(current, _tangent_sublattice(quotient.rank, exc_q))
+            r = current.rank
+            lifted = [mat_vec(q, (0,) * r + w) for w in _tangent_sublattice(quotient.rank, exc_q).basis]
+            nxt = sublattice_from_rows(n, current.basis + tuple(lifted))
             if nxt == current:
                 break
             current = nxt

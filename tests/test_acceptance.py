@@ -130,7 +130,7 @@ def test_criterion_03_orders_scan():
 def test_criterion_04_pair_search_value_union():
     with criterion(4, "pair-search value-union finds the nine reference pairs; extras carry Sigma witnesses"):
         start = time.perf_counter()
-        classes, report = classify_pairs(126, MODE_VALUE_UNION, threads=1)
+        classes, report = classify_pairs(126, MODE_VALUE_UNION)
         elapsed = time.perf_counter() - start
         computed = {c.values for c in classes}
         assert set(REFERENCE_PAIRS) <= computed

@@ -115,6 +115,20 @@ class TestTorusCommands:
             assert captured.out == ""
             assert captured.err.startswith("error: bad input file")
 
+    @pytest.mark.parametrize("translation", ["12", {"1": 0, "2": 0}], ids=["string", "object"])
+    def test_translation_not_a_list_exit_2(self, translation, tmp_path, capsys):
+        # iterating it would read "12" as the entries "1", "2" and the object as its keys
+        bad = tmp_path / "bad_translation.json"
+        bad.write_text(json.dumps({
+            "rank": 2,
+            "generators": [{"matrix": [[-1, 0], [0, -1]], "translation": translation}],
+        }))
+        for command in ("filtration", "av-verdict"):
+            assert main([command, str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input file")
+
     def test_integer_and_string_translations_read_exactly(self, tmp_path, capsys):
         outputs = []
         for translation in ([1, 0], ["0", "0"], ["1/2", "0"], ["0.5", 0]):
@@ -327,6 +341,8 @@ MONOMIAL_SNAPSHOTS["monomial-check-1-1-6-reflection-rep"] = (
 )
 
 TORUS_INPUTS = sorted((REPO / "demos" / "inputs").glob("*.json"))
+# The six `bench/torusgen.py` seed-1 inputs whose filtration reaches a quotient stage.
+TORUSGEN_INPUTS = sorted((REPO / "tests" / "inputs").glob("*.json"))
 
 
 class TestSnapshots:
@@ -348,6 +364,12 @@ class TestSnapshots:
     def test_torus_stdout_byte_identical(self, path, command, fmt, capsys):
         assert main(["--format", fmt, command, str(path)]) == 0
         expected = (REPO / "tests" / "snapshots" / f"{command}-{path.stem}-{fmt}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("path", TORUSGEN_INPUTS, ids=[p.stem for p in TORUSGEN_INPUTS])
+    def test_torusgen_filtration_byte_identical(self, path, capsys):
+        assert main(["--format", "json", "filtration", str(path)]) == 0
+        expected = (REPO / "tests" / "snapshots" / f"filtration-{path.stem}-json.out").read_bytes()
         assert capsys.readouterr().out.encode() == expected
 
 

@@ -363,7 +363,7 @@ class TestRandomizedFiltrationInvariants:
                 assert ours == _stage1_oracle_exact(action)
                 # the induced quotient map is a homomorphism onto a closed group
                 if report.exceptional and report.chain[0].rank < n:
-                    quotient = _quotient_action(action, report.chain[0])
+                    quotient, _ = _quotient_action(action, report.chain[0])
                     members = set(quotient.elements)
                     induced = {g: _induce(action, report.chain[0], g) for g in action.elements}
                     for g in action.elements:
@@ -396,7 +396,14 @@ class TestSerialization:
         assert g.translation == (F(1, 2), F(3, 4))
 
 
-DEMO_INPUTS = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.json"))
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
+DEMO_INPUTS = sorted(DEMOS.glob("*.json"))
+TORUSGEN_INPUTS = sorted((Path(__file__).resolve().parent / "inputs").glob("*.json"))
+
+
+def _load_action(path):
+    payload = json.loads(path.read_text())
+    return closure(AffineTorusMap.from_json(g) for g in payload["generators"])
 
 
 def _random_affine_map(rng, n):
@@ -424,8 +431,7 @@ class TestOneDerivationPerStage:
     def test_exceptional_elements_once_per_stage(self, path, monkeypatch):
         import reidtai.torus as torus
 
-        payload = json.loads(path.read_text())
-        action = closure(AffineTorusMap.from_json(g) for g in payload["generators"])
+        action = _load_action(path)
         calls = []
         original = torus.exceptional_elements
         monkeypatch.setattr(torus, "exceptional_elements", lambda a: calls.append(a) or original(a))
@@ -436,6 +442,37 @@ class TestOneDerivationPerStage:
         from reidtai.torus import _quotient_action
 
         action = group(amap([[0, 1], [1, 0]]), amap(identity(2), ("1/2", "0")))
-        quotient = _quotient_action(action, filtration(action).chain[0])
+        quotient, _ = _quotient_action(action, filtration(action).chain[0])
         assert len(quotient.generators) == len(action.generators) == 2
         assert set(quotient.generators) <= set(quotient.elements)
+
+    def test_one_smith_form_per_stage_sublattice(self, monkeypatch):
+        """Saturation and the quotient stage each put the stage-1 sublattice through snf once."""
+        import reidtai.lattice as lattice
+        import reidtai.torus as torus
+
+        action = _load_action(DEMOS / "permute_negate3.json")
+        arguments = []
+        original = lattice.snf
+
+        def counting(m):
+            arguments.append(m)
+            return original(m)
+
+        for module in (lattice, torus):
+            monkeypatch.setattr(module, "snf", counting, raising=False)
+        report = filtration(action)
+        assert report.stage_exceptional_counts[1:]  # a quotient stage ran
+        bases = {s.basis for s in report.chain}
+        assert sum(m in bases for m in arguments) == 2
+
+    @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+    def test_one_spectrum_per_linear_part(self, path, monkeypatch):
+        import reidtai.torus as torus
+
+        action = _load_action(path)
+        calls = []
+        original = torus.cyclotomic_spectrum
+        monkeypatch.setattr(torus, "cyclotomic_spectrum", lambda m: calls.append(m) or original(m))
+        exceptional_elements(action)
+        assert sorted(calls) == sorted({g.linear for g in action.elements})
