@@ -82,7 +82,7 @@ def _load_action(path: str, cap: int):
     try:
         rank = payload["rank"]
         gens = [AffineTorusMap.from_json(g) for g in payload["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad input file {path}: {exc}") from exc
     if any(g.rank != rank for g in gens):
         raise InputError(f"bad input file {path}: generator rank mismatch")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -275,21 +276,8 @@ def tensor_perm_trace_check(ts: Sequence) -> TensorPermTraceReport:
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("dimension mismatch")
     n = len(mats)
-    size = d**n
-    op = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        idx = []
-        rem = col
-        for _ in range(n):
-            idx.append(rem % d)
-            rem //= d
-        idx.reverse()  # idx[k] = i_{k+1}
-        # Output slot 1 holds T_n(v_n); slot k+1 holds T_k(v_k).
-        factors = [mats[-1][:, idx[-1]]] + [mats[k][:, idx[k]] for k in range(n - 1)]
-        vec = factors[0]
-        for f in factors[1:]:
-            vec = np.kron(vec, f)
-        op[:, col] = vec
+    # kron(T_1, ..., T_n) fills output slot k with T_k(v_k); move slot n to the front.
+    op = np.moveaxis(reduce(np.kron, mats).reshape((d,) * n + (d**n,)), n - 1, 0).reshape(d**n, d**n)
     cyclic = complex(np.trace(op))
     product = np.eye(d, dtype=complex)
     for m in reversed(mats):

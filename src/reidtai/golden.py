@@ -3,8 +3,9 @@
 The golden files pin the published reference sets the searches must
 reproduce (the half-orbit table, the trace-magnitude table, the nine
 pairs, the confirmed order set, and the fourteen labelled multisets).
-They live in the repository's ``golden/`` directory; regeneration is an
-explicit flag on the ``golden`` CLI subcommand.
+The Python constants are the one source; the files in the repository's
+``golden/`` directory are their JSON export, which ``check_golden`` keeps
+current.  Regeneration is an explicit flag on the ``golden`` CLI subcommand.
 """
 
 from __future__ import annotations

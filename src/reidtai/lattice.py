@@ -282,23 +282,13 @@ def sublattice_from_rows(ambient_rank: int, rows: Iterable[Sequence[int]]) -> Su
 
 def saturate(s: Sublattice) -> Sublattice:
     """The largest sublattice of Z^n with the same rational span (idempotent)."""
-    # The HNF basis rows are independent, so rank(s) rows span the saturation.
-    return sublattice_from_rows(s.ambient_rank, adapted_unimodular(s)[: s.rank])
-
-
-def adapted_unimodular(s: Sublattice) -> IntMatrix:
-    """Unimodular matrix whose first rank(s) rows are a basis of the saturation of s.
-
-    U*B = D*V^{-1}; dropping the elementary divisors leaves primitive rows.
-    The result is P = V^{-1}, so its transpose q = P^T, whose first rank(s)
-    columns span the saturation, has inverse q^{-1} = V^T.  Callers that need the quotient
-    Z^n / s should saturate first.
-    """
-    n = s.ambient_rank
     if s.rank == 0:
-        return identity(n)
+        return s
+    # U*B = D*V^{-1}: the HNF basis rows are independent, so dividing row i of
+    # U*B by d_i leaves the first rank(s) rows of V^{-1}, a basis of the saturation.
     dec = snf(s.basis)
-    return unimodular_inverse(dec.v)
+    rows = [[x // d for x in row] for row, d in zip(mat_mul(dec.u, s.basis), dec.diagonal)]
+    return sublattice_from_rows(s.ambient_rank, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,6 @@ def _r(a: int, d: int) -> RootOfUnity:
     return RootOfUnity(a, d)
 
 
-REFERENCE_PAIRS: tuple[tuple[RootOfUnity, RootOfUnity], ...] = (
-    (_r(1, 6), _r(1, 3)),
-    (_r(1, 6), _r(1, 2)),
-    (_r(1, 6), _r(2, 3)),
-    (_r(1, 3), _r(1, 2)),
-    (_r(1, 8), _r(3, 8)),
-    (_r(1, 8), _r(5, 8)),
-    (_r(1, 12), _r(1, 4)),
-    (_r(1, 12), _r(5, 12)),
-    (_r(1, 4), _r(5, 12)),
-)
-
-REFERENCE_TRIPLE: tuple[RootOfUnity, ...] = (_r(1, 12), _r(1, 4), _r(5, 12))
-
 # The fourteen labelled exceptional eigenvalue multisets (non-trivial parts).
 REFERENCE_MULTISETS: tuple[tuple[str, tuple[RootOfUnity, ...]], ...] = (
     ("a", (_r(1, 6), _r(1, 3))),
@@ -101,6 +87,12 @@ REFERENCE_MULTISETS: tuple[tuple[str, tuple[RootOfUnity, ...]], ...] = (
     ("m", (_r(1, 4), _r(5, 12))),
     ("n", (_r(1, 12), _r(1, 4), _r(5, 12))),
 )
+
+# The nine Galois-section pairs are the two-value multisets; the triple is (n).
+REFERENCE_PAIRS: tuple[tuple[RootOfUnity, RootOfUnity], ...] = tuple(
+    vals for _, vals in REFERENCE_MULTISETS if len(vals) == 2
+)
+REFERENCE_TRIPLE: tuple[RootOfUnity, ...] = dict(REFERENCE_MULTISETS)["n"]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,19 @@ class TestTorusCommands:
             assert captured.out == ""
             assert captured.err.startswith("error: bad input file")
 
+    def test_zero_denominator_translation_exit_2(self, tmp_path, capsys):
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError
+        bad = tmp_path / "bad_translation.json"
+        bad.write_text(json.dumps({
+            "rank": 1,
+            "generators": [{"matrix": [[-1]], "translation": ["1/0"]}],
+        }))
+        for command in ("filtration", "av-verdict"):
+            assert main([command, str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input file")
+
     def test_integer_and_string_translations_read_exactly(self, tmp_path, capsys):
         outputs = []
         for translation in ([1, 0], ["0", "0"], ["1/2", "0"], ["0.5", 0]):
@@ -323,6 +336,66 @@ class TestWitnessRoundTrip:
         assert main(["verify-witness", str(wfile)]) == 0
 
 
+def _emitted_witnesses():
+    from reidtai.search import (
+        MODE_ORBIT_SETS,
+        MODE_VALUE_UNION,
+        classify_pairs,
+        enumerate_exceptional_multisets,
+        feasible_orders,
+    )
+
+    witnesses = [w for _, w in feasible_orders(372)[1].extras]
+    for mode in (MODE_VALUE_UNION, MODE_ORBIT_SETS):
+        witnesses += [c.to_json() for c in classify_pairs(126, mode)[0]]
+        witnesses += [w for _, w in enumerate_exceptional_multisets(mode).conformance.extras]
+    return witnesses
+
+
+def _witness_mutations(witness):
+    """Every single-field mutation of a witness that must stop it verifying."""
+    if "feasible" in witness:
+        yield "flip feasible", {**witness, "feasible": not witness["feasible"]}
+    for key in ("sum", "minimal_sum", "orbit_total"):
+        if key in witness:
+            yield f"{key} + 1/1000", {**witness, key: str(Fraction(witness[key]) + Fraction(1, 1000))}
+    for key in ("representatives", "values"):
+        if key in witness:
+            yield f"drop last of {key}", {**witness, key: witness[key][:-1]}
+    if "sigma" in witness:
+        sigma = {**witness["sigma"], "chosen_residues": witness["sigma"]["chosen_residues"][:-1]}
+        yield "drop last chosen residue", {**witness, "sigma": sigma}
+    yield "unknown kind", {**witness, "kind": "nonsense"}
+
+
+class TestEmittedWitnesses:
+    # The orbit breakdown inside pair-orbit-sets witnesses is not re-checked,
+    # so mutating it is left out.
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        return _emitted_witnesses()
+
+    def test_every_emitted_witness_verifies(self, witnesses, tmp_path, capsys):
+        assert len(witnesses) == 117
+        wfile = tmp_path / "w.json"
+        for witness in witnesses:
+            wfile.write_text(json.dumps(witness))
+            assert main(["verify-witness", str(wfile)]) == 0, witness
+            assert capsys.readouterr().out.startswith("verified: ")
+
+    def test_every_mutation_is_rejected(self, witnesses, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        count = 0
+        for witness in witnesses:
+            for name, mutated in _witness_mutations(witness):
+                wfile.write_text(json.dumps(mutated))
+                code = main(["verify-witness", str(wfile)])
+                out = capsys.readouterr().out
+                assert code == 2 or (code == 1 and out.startswith("FAILED: ")), (name, witness)
+                count += 1
+        assert count == 413
+
+
 # The galois-search commands of the benchmark and the stdout snapshots they must reproduce.
 GALOIS_SNAPSHOTS = {
     "orders-scan-372": ("orders-scan", "--bound", "372"),
@@ -393,6 +466,28 @@ class TestDeterminism:
         ).stdout
         base = run_cli("--format", "json", "orders-scan", "--bound", "200").stdout
         assert out == base
+
+
+class TestThreadKnob:
+    @staticmethod
+    def run_with_bad_env(*args):
+        import os
+
+        env = dict(os.environ, REIDTAI_THREADS="abc")
+        return subprocess.run(
+            [sys.executable, "-m", "reidtai.cli", *args], capture_output=True, text=True, cwd=REPO, env=env
+        )
+
+    def test_malformed_env_exit_2(self):
+        result = self.run_with_bad_env("orders-scan", "--bound", "30")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: REIDTAI_THREADS must be an integer")
+
+    def test_flag_wins_over_malformed_env(self):
+        # the variable is read only when --threads is absent
+        result = self.run_with_bad_env("--threads", "1", "orders-scan", "--bound", "30")
+        assert result.returncode == 0, result.stderr
 
 
 class TestGolden:

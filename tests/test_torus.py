@@ -374,11 +374,11 @@ class TestRandomizedFiltrationInvariants:
 
 
 def _induce(action, sub, g):
-    from reidtai.lattice import adapted_unimodular, mat_mul, transpose, unimodular_inverse
+    from reidtai.lattice import mat_mul, snf, transpose, unimodular_inverse
 
     n = action.rank
     r = sub.rank
-    q = transpose(adapted_unimodular(sub))
+    q = transpose(unimodular_inverse(snf(sub.basis).v))
     qinv = unimodular_inverse(q)
     m2 = mat_mul(mat_mul(qinv, g.linear), q)
     block = tuple(row[r:] for row in m2[r:])
