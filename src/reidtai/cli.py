@@ -376,11 +376,14 @@ def _cmd_extraspecial_scan(args) -> int:
     return EXIT_OK
 
 
-def _orbit_total(values: list[Fraction]) -> Fraction:
-    """The orbit-sets total from its definition, independently of the search.
+def _orbit_breakdown(values: list[Fraction]) -> tuple[Fraction, dict]:
+    """The orbit-sets total and the ``orbit`` object of its witness, from the definition.
 
-    Distinct Galois twists of the multiset, as sorted tuples, fall into
-    conjugation classes; the total is the sum of each class's minimal age.
+    Independent of the search: distinct Galois twists of the multiset, as
+    sorted tuples in ascending order, fall into conjugation classes; each
+    class lists its members (the twist, then its conjugate if different),
+    its minimal age and the first member of that age.  The total is the
+    sum of the minimal ages.
     """
     values = [v % 1 for v in values]
     if not values or 0 in values:
@@ -390,14 +393,23 @@ def _orbit_total(values: list[Fraction]) -> Fraction:
         tuple(sorted(k * v % 1 for v in values)) for k in range(1, modulus) if math.gcd(k, modulus) == 1
     }
     total = Fraction(0)
+    classes = []
     seen = set()
-    for t in twists:
+    for t in sorted(twists):
         if t in seen:
             continue
         tbar = tuple(sorted(-v % 1 for v in t))
         seen.update((t, tbar))
-        total += min(sum(t, Fraction(0)), sum(tbar, Fraction(0)))
-    return total
+        members = (t,) if tbar == t else (t, tbar)
+        ages = [sum(m, Fraction(0)) for m in members]
+        min_age = min(ages)
+        total += min_age
+        classes.append({
+            "members": [[str(v) for v in m] for m in members],
+            "min_age": str(min_age),
+            "chosen": [str(v) for v in members[ages.index(min_age)]],
+        })
+    return total, {"total": str(total), "feasible": 0 < total < 1, "modulus": modulus, "classes": classes}
 
 
 def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
@@ -431,11 +443,14 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
             return False, "feasibility flag inconsistent with the sum"
         return True, f"value union sums to {total}"
     if kind == f"pair-{MODE_ORBIT_SETS}":
-        total = _orbit_total([Fraction(v) for v in payload["pair"]])
+        total, orbit = _orbit_breakdown([Fraction(v) for v in payload["pair"]])
         if str(total) != payload["minimal_sum"]:
             return False, f"orbit total mismatch: recomputed {total}"
         if payload["feasible"] != (0 < total < 1):
             return False, "feasibility flag inconsistent with the orbit total"
+        for key, value in orbit.items():
+            if payload["orbit"][key] != value:
+                return False, f"orbit {key} does not match the recomputation"
         return True, f"orbit total {total}"
     if kind == "multiset":
         values = [Fraction(v) for v in payload["values"]]
@@ -449,7 +464,7 @@ def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
         if total >= 1:
             return False, f"sum {total} >= 1"
         if "orbit_total" in payload:
-            orbit_total = _orbit_total(values)
+            orbit_total, _ = _orbit_breakdown(values)
             if str(orbit_total) != payload["orbit_total"]:
                 return False, f"orbit total mismatch: recomputed {orbit_total}"
             if not 0 < orbit_total < 1:

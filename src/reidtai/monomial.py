@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .groups import GroupTooLargeError, generate
 from .roots import RootOfUnity
@@ -52,15 +52,27 @@ class MonomialElement:
             raise ValueError("permutation must be a bijection of 0..n-1")
         if len(self.phase_numerators) != n:
             raise ValueError("phase vector length mismatch")
-        m = self.modulus
-        if m < 1:
+        if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        nums = tuple(k % m for k in self.phase_numerators)
-        g = m
-        for k in nums:
-            g = math.gcd(g, k)
-        object.__setattr__(self, "modulus", m // g)
-        object.__setattr__(self, "phase_numerators", tuple(k // g for k in nums))
+        self._reduce(self.phase_numerators, self.modulus)
+
+    def _reduce(self, numerators: Iterable[int], m: int) -> None:
+        """Store the numerators mod m over the least faithful modulus; hashing relies on it."""
+        nums = [k % m for k in numerators]
+        g = math.gcd(m, *nums)
+        if g > 1:
+            m //= g
+            nums = [k // g for k in nums]
+        object.__setattr__(self, "phase_numerators", tuple(nums))
+        object.__setattr__(self, "modulus", m)
+
+    @classmethod
+    def _trusted(cls, permutation: tuple[int, ...], numerators: Iterable[int], m: int) -> "MonomialElement":
+        """A product or inverse of valid elements: the permutation and length checks cannot fail."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "permutation", permutation)
+        g._reduce(numerators, m)
+        return g
 
     @classmethod
     def from_phases(cls, permutation: Sequence[int], phases: Sequence) -> "MonomialElement":
@@ -81,27 +93,26 @@ class MonomialElement:
 
     def compose(self, other: "MonomialElement") -> "MonomialElement":
         """Matrix product self * other."""
-        if self.degree != other.degree:
+        sp, op, sk = self.permutation, other.permutation, self.phase_numerators
+        if len(sp) != len(op):
             raise ValueError("degree mismatch")
         m = math.lcm(self.modulus, other.modulus)
         fa = m // self.modulus
         fb = m // other.modulus
-        perm = tuple(self.permutation[p] for p in other.permutation)
-        nums = tuple(
-            self.phase_numerators[other.permutation[j]] * fa + other.phase_numerators[j] * fb
-            for j in range(self.degree)
-        )
-        return MonomialElement(perm, nums, m)
+        perm = tuple([sp[p] for p in op])
+        nums = [sk[p] * fa + k * fb for p, k in zip(op, other.phase_numerators)]
+        return MonomialElement._trusted(perm, nums, m)
 
     def inverse(self) -> "MonomialElement":
         n = self.degree
         inv = [0] * n
         for j, img in enumerate(self.permutation):
             inv[img] = j
-        nums = tuple(-self.phase_numerators[inv[i]] for i in range(n))
-        return MonomialElement(tuple(inv), nums, self.modulus)
+        nums = [-self.phase_numerators[i] for i in inv]
+        return MonomialElement._trusted(tuple(inv), nums, self.modulus)
 
     def sort_key(self):
+        """The canonical order; ``_canonical`` sorts a set the same way on ints."""
         return (self.permutation, self.phases)
 
     def cycles(self) -> list[list[int]]:
@@ -176,6 +187,21 @@ class MonomialGroup:
         return g in self._members
 
 
+def _canonical(elements: Collection[MonomialElement]) -> tuple[MonomialElement, ...]:
+    """The elements in ``sort_key`` order without building a phase.
+
+    Phases k/m in [0, 1) compare like the ints k * (L // m) over L, the lcm
+    of the moduli present.
+    """
+    lcm = math.lcm(*{g.modulus for g in elements})
+
+    def key(g: MonomialElement):
+        f = lcm // g.modulus
+        return g.permutation, tuple(k * f for k in g.phase_numerators)
+
+    return tuple(sorted(elements, key=key))
+
+
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000, degree: int | None = None) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
@@ -184,7 +210,7 @@ def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000
             raise ValueError("need generators or an explicit degree")
         degree = gens[0].degree
     members, _ = generate(gens, monomial_identity(degree), cap)
-    return MonomialGroup(degree, tuple(sorted(members, key=MonomialElement.sort_key)), gens)
+    return MonomialGroup(degree, _canonical(members), gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -228,7 +254,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
                     seen.add(y)
                     new.append(y)
         frontier = new
-    return tuple(sorted(seen, key=MonomialElement.sort_key))
+    return _canonical(seen)
 
 
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
@@ -241,7 +267,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
     if g not in group:
         raise ValueError("element does not belong to the group")
     members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
-    return MonomialGroup(group.degree, tuple(sorted(members, key=MonomialElement.sort_key)), used)
+    return MonomialGroup(group.degree, _canonical(members), used)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ connected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .groups import GroupTooLargeError, generate
 from .lattice import (
@@ -63,30 +64,59 @@ UNIRULED_NOT_RC = "UniruledNotRC"
 RATIONALLY_CONNECTED = "RationallyConnected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineTorusMap:
-    """x -> (linear)x + translation on R^n/Z^n; translations live in [0,1)^n."""
+    """x -> (linear)x + translation on R^n/Z^n; translations live in [0,1)^n.
+
+    The translation is stored as integer numerators in [0, denominator)
+    over the least common denominator, so structural equality is
+    mathematical equality.
+    """
 
     linear: IntMatrix
-    translation: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        linear = mat(self.linear)
+    def __init__(self, linear: IntMatrix, translation: Sequence):
+        linear = mat(linear)
         n = len(linear)
         if any(len(row) != n for row in linear):
             raise ValueError("linear part must be square")
-        t = tuple(Fraction(x) % 1 for x in self.translation)
+        t = tuple(Fraction(x) for x in translation)
         if len(t) != n:
             raise ValueError("translation length mismatch")
+        d = math.lcm(*(x.denominator for x in t))
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "translation", t)
+        self._reduce((x.numerator * (d // x.denominator) for x in t), d)
+
+    def _reduce(self, numerators: Iterable[int], d: int) -> None:
+        """Store the numerators mod d over the least common denominator; hashing relies on it."""
+        nums = [k % d for k in numerators]
+        g = math.gcd(d, *nums)
+        if g > 1:
+            d //= g
+            nums = [k // g for k in nums]
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", d)
+
+    @classmethod
+    def _trusted(cls, linear: IntMatrix, numerators: Iterable[int], d: int) -> "AffineTorusMap":
+        """A map built from valid ones: the linear part is already a square int matrix."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "linear", linear)
+        g._reduce(numerators, d)
+        return g
+
+    @property
+    def translation(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.denominator) for k in self.numerators)
 
     @property
     def rank(self) -> int:
         return len(self.linear)
 
     def is_identity(self) -> bool:
-        return self.linear == identity(self.rank) and not any(self.translation)
+        return self.linear == identity(self.rank) and self.denominator == 1
 
     def apply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(
@@ -96,14 +126,18 @@ class AffineTorusMap:
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other: x -> self(other(x))."""
-        t = tuple(a + s for a, s in zip(mat_vec(self.linear, other.translation), self.translation))
-        return AffineTorusMap(mat_mul(self.linear, other.linear), t)
+        d = math.lcm(self.denominator, other.denominator)
+        fa = d // self.denominator
+        fb = d // other.denominator
+        t = tuple(a * fb + s * fa for a, s in zip(mat_vec(self.linear, other.numerators), self.numerators))
+        return AffineTorusMap._trusted(mat_mul(self.linear, other.linear), t, d)
 
     def inverse(self) -> "AffineTorusMap":
         minv = unimodular_inverse(self.linear)
-        return AffineTorusMap(minv, tuple(-x for x in mat_vec(minv, self.translation)))
+        return AffineTorusMap._trusted(minv, (-x for x in mat_vec(minv, self.numerators)), self.denominator)
 
     def sort_key(self):
+        """The canonical order; ``_canonical`` sorts a set the same way on ints."""
         return (self.linear, self.translation)
 
     def to_json(self) -> dict:
@@ -129,7 +163,22 @@ class AffineTorusMap:
 
 
 def affine_identity(n: int) -> AffineTorusMap:
-    return AffineTorusMap(identity(n), (Fraction(0),) * n)
+    return AffineTorusMap._trusted(identity(n), (0,) * n, 1)
+
+
+def _canonical(maps: Collection[AffineTorusMap]) -> tuple[AffineTorusMap, ...]:
+    """The maps in ``sort_key`` order without building a translation.
+
+    Translations k/d in [0, 1) compare like the ints k * (L // d) over L,
+    the lcm of the denominators present.
+    """
+    lcm = math.lcm(*{g.denominator for g in maps})
+
+    def key(g: AffineTorusMap):
+        f = lcm // g.denominator
+        return g.linear, tuple(k * f for k in g.numerators)
+
+    return tuple(sorted(maps, key=key))
 
 
 @dataclass(frozen=True)
@@ -157,7 +206,7 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
         if matrix_order(g.linear) is None:
             raise ValueError("generator linear part has infinite order")
     members, _ = generate(gens, affine_identity(n), cap)
-    return TorusAction(n, tuple(sorted(members, key=AffineTorusMap.sort_key)), gens)
+    return TorusAction(n, _canonical(members), gens)
 
 
 @dataclass(frozen=True)
@@ -249,9 +298,9 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
             raise ArithmeticError("sublattice is not stable under the action")
         block = tuple(row[r:] for row in m2[r:])
         for g in run:
-            induced[g] = AffineTorusMap(block, mat_vec(qinv[r:], g.translation))
-    elements = sorted(set(induced.values()), key=AffineTorusMap.sort_key)
-    return TorusAction(n - r, tuple(elements), tuple(induced[g] for g in action.generators)), q
+            induced[g] = AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator)
+    elements = _canonical(set(induced.values()))
+    return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
 
 
 @dataclass(frozen=True)

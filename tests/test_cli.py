@@ -365,12 +365,21 @@ def _witness_mutations(witness):
     if "sigma" in witness:
         sigma = {**witness["sigma"], "chosen_residues": witness["sigma"]["chosen_residues"][:-1]}
         yield "drop last chosen residue", {**witness, "sigma": sigma}
+    if "orbit" in witness:
+        orbit = witness["orbit"]
+        first = {**orbit["classes"][0], "min_age": str(Fraction(orbit["classes"][0]["min_age"]) + Fraction(1, 1000))}
+        for name, changed in (
+            ("orbit total + 1/1000", {"total": str(Fraction(orbit["total"]) + Fraction(1, 1000))}),
+            ("flip orbit feasible", {"feasible": not orbit["feasible"]}),
+            ("orbit modulus + 1", {"modulus": orbit["modulus"] + 1}),
+            ("orbit classes emptied", {"classes": []}),
+            ("first orbit class min_age + 1/1000", {"classes": [first] + orbit["classes"][1:]}),
+        ):
+            yield name, {**witness, "orbit": {**orbit, **changed}}
     yield "unknown kind", {**witness, "kind": "nonsense"}
 
 
 class TestEmittedWitnesses:
-    # The orbit breakdown inside pair-orbit-sets witnesses is not re-checked,
-    # so mutating it is left out.
     @pytest.fixture(scope="class")
     def witnesses(self):
         return _emitted_witnesses()
@@ -393,7 +402,7 @@ class TestEmittedWitnesses:
                 out = capsys.readouterr().out
                 assert code == 2 or (code == 1 and out.startswith("FAILED: ")), (name, witness)
                 count += 1
-        assert count == 413
+        assert count == 503
 
 
 # The galois-search commands of the benchmark and the stdout snapshots they must reproduce.
