@@ -615,7 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     try:
         worker_count(args.threads)  # rejects a malformed REIDTAI_THREADS
         return args.func(args)

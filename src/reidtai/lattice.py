@@ -307,21 +307,34 @@ def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, t
         raise ValueError("matrix must be square")
     if len(t) != n:
         raise ValueError("translation length mismatch")
-    a = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
-    b = [-Fraction(x) for x in t]
-    dec = snf(a)
-    c = [sum(Fraction(dec.u[i][j]) * b[j] for j in range(n)) for i in range(n)]
-    y = []
-    for i in range(n):
-        d = dec.d[i][i]
-        if d == 0:
-            if c[i].denominator != 1:
-                return False, None
-            y.append(Fraction(0))
-        else:
-            y.append(c[i] / d)
-    x = tuple(sum(Fraction(dec.v[i][j]) * y[j] for j in range(n)) % 1 for i in range(n))
-    return True, x
+    t = [Fraction(v) for v in t]
+    d = math.lcm(*(v.denominator for v in t))
+    x = _torus_congruence_solver(m)([v.numerator * (d // v.denominator) for v in t], d)
+    return x is not None, x
+
+
+def _torus_congruence_solver(m: IntMatrix):
+    """Solver of (M - I) x = -t on R^n/Z^n for one square M, from one Smith form of M - I.
+
+    It takes t as integer numerators over one denominator and returns one
+    solution in [0, 1)^n, or None when there is none.
+    """
+    n = len(m)
+    dec = snf(tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
+    diagonal = dec.diagonal
+    # With y = V^-1 x the congruence reads D y = U(-t): y_i = c_i / d_i,
+    # and a zero d_i needs an integral c_i (then y_i = 0).
+    scale = math.lcm(*(d for d in diagonal if d))
+
+    def solve(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...] | None:
+        c = [-sum(u * k for u, k in zip(row, numerators)) for row in dec.u]
+        if any(not d and ci % denominator for d, ci in zip(diagonal, c)):
+            return None
+        y = [ci * (scale // d) if d else 0 for d, ci in zip(diagonal, c)]
+        common = denominator * scale
+        return tuple(Fraction(sum(v * yj for v, yj in zip(row, y)) % common, common) for row in dec.v)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

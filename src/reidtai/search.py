@@ -26,7 +26,7 @@ witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -409,45 +409,76 @@ class PairClass:
         return self.decision.witness_json()
 
 
-def _pair_candidates(f_max: int) -> list[tuple[RootOfUnity, RootOfUnity]]:
+def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
+    """Each candidate pair a/M < b/M as (M, a, b), M the lcm of its orders; sorted."""
     # Any covering section's alpha-part already contains one of each
     # conjugate pair of primitive d_alpha-th values, so its sum alone is
     # >= min_halforbit_sum(d_alpha); the orbit-sets total obeys the same
     # bound.  Orders with half-orbit sum >= 1 therefore never occur.
     feasible_d = [d for d in range(2, f_max + 1) if min_halforbit_sum(d)[0] < 1]
-    primitive = {d: [_r(k, d) for k in unit_classes(d).units] for d in feasible_d}
-    seen = set()
-    out = []
-    for da in feasible_d:
-        for db in feasible_d:
-            if math.lcm(da, db) > f_max:
+    units = {d: unit_classes(d).units for d in feasible_d}
+    out = set()
+    for i, da in enumerate(feasible_d):
+        for db in feasible_d[i:]:
+            modulus = math.lcm(da, db)
+            if modulus > f_max:
                 continue
-            for alpha in primitive[da]:
-                for beta in primitive[db]:
-                    if alpha == beta:
-                        continue
-                    key = tuple(sorted((alpha, beta)))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-    out.sort(key=lambda p: (math.lcm(p[0].order, p[1].order), p))
-    return out
+            xs = [u * (modulus // da) for u in units[da]]
+            ys = [u * (modulus // db) for u in units[db]]
+            out.update((modulus, min(x, y), max(x, y)) for x in xs for y in ys if x != y)
+    return sorted(out)
+
+
+def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[int]]:
+    """Partition the candidates into orbits of the units mod M; members by position, ascending.
+
+    Twisting keeps the orders, so the candidate list is closed under it.
+    """
+    position = {c: i for i, c in enumerate(candidates)}
+    orbits = []
+    assigned = set()
+    for i, (modulus, a, b) in enumerate(candidates):
+        if i in assigned:
+            continue
+        twists = {(modulus, *sorted((k * a % modulus, k * b % modulus))) for k in unit_classes(modulus).units}
+        orbit = sorted(position[t] for t in twists)
+        assigned.update(orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def classify_pairs(
     f_max: int = 126, mode: str = MODE_VALUE_UNION
 ) -> tuple[tuple[PairClass, ...], ConformanceReport]:
-    """All distinct reduced value pairs with lcm of orders <= f_max passing the mode predicate."""
+    """All distinct reduced value pairs with lcm of orders <= f_max passing the mode predicate.
+
+    For a unit k, the covering sections S of {k*alpha, k*beta} are the sections k*S of {alpha, beta},
+    with the same value union and twist set: one decision per Galois orbit decides all its members.
+    """
     if f_max < 2:
         raise ValueError("f_max must be at least 2")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    decisions = (_decide_pair(a, b, mode) for a, b in _pair_candidates(f_max))
-    classes = tuple(
-        PairClass(d.pair, d.witness, d.minimal_sum, d)
-        for d in decisions
-        if d.feasible
-    )
+    candidates = _pair_candidates(f_max)
+
+    def pair(i: int) -> tuple[RootOfUnity, RootOfUnity]:
+        modulus, a, b = candidates[i]
+        return RootOfUnity(a, modulus), RootOfUnity(b, modulus)
+
+    decisions = {}
+    for first, *rest in _galois_orbits(candidates):
+        decision = _decide_pair(*pair(first), mode)
+        if not decision.feasible:
+            continue
+        decisions[first] = decision
+        for i in rest:
+            # The orbit-sets result is the same for every member; a
+            # value-union witness names the member's own section.
+            if mode == MODE_ORBIT_SETS:
+                decisions[i] = replace(decision, pair=pair(i))
+            else:
+                decisions[i] = _decide_pair(*pair(i), mode)
+    classes = tuple(PairClass(d.pair, d.witness, d.minimal_sum, d) for _, d in sorted(decisions.items()))
     computed = tuple(c.values for c in classes)
     by_pair = {c.values: c for c in classes}
     expected = tuple(p for p in REFERENCE_PAIRS if math.lcm(p[0].order, p[1].order) <= f_max)

@@ -21,6 +21,7 @@ from typing import Collection, Iterable, Sequence
 
 from .groups import GroupTooLargeError, generate
 from .lattice import (
+    _torus_congruence_solver,
     IntMatrix,
     Sublattice,
     cyclotomic_spectrum,
@@ -31,7 +32,6 @@ from .lattice import (
     matrix_order,
     saturate,
     snf,
-    solve_torus_congruence,
     sublattice_from_rows,
     transpose,
     unimodular_inverse,
@@ -228,8 +228,8 @@ class ExceptionalElement:
 def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     """Elements with a fixed point whose linear-part age lies in (0, 1).
 
-    One spectrum per run of equal linear part (one run each in the canonical
-    order); the identity has age 0.
+    One spectrum and one Smith form per run of equal linear part (one run
+    each in the canonical order); the identity has age 0.
     """
     out = []
     for linear, run in groupby(action.elements, key=lambda g: g.linear):
@@ -237,9 +237,10 @@ def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
         age = spec.age()
         if not 0 < age < 1:
             continue
+        solve = _torus_congruence_solver(linear)
         for g in run:
-            solvable, x = solve_torus_congruence(linear, g.translation)
-            if solvable:
+            x = solve(g.numerators, g.denominator)
+            if x is not None:
                 out.append(ExceptionalElement(g, spec, age, x))
     return tuple(out)
 

@@ -1,8 +1,10 @@
 """Exhaustive oracles that cross-check the search kernels in the tests."""
 
+import math
 from fractions import Fraction
 
-from reidtai.roots import unit_classes
+from reidtai.roots import RootOfUnity, unit_classes
+from reidtai.search import PairClass, min_halforbit_sum, pair_feasible
 
 
 def subset_min_sum(d: int) -> Fraction:
@@ -24,3 +26,31 @@ def subset_min_sum(d: int) -> Fraction:
 
     rec(0, Fraction(0))
     return best
+
+
+def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairClass, ...]:
+    """Second search path: one decision per candidate pair, no Galois orbits.
+
+    Candidates are every unordered pair of distinct primitive values whose
+    orders have half-orbit sum below 1 and lcm at most f_max, in order of
+    that lcm, then of the pair.
+    """
+    orders = [d for d in range(2, f_max + 1) if min_halforbit_sum(d)[0] < 1]
+    primitive = {d: [RootOfUnity(u, d) for u in unit_classes(d).units] for d in orders}
+    candidates = {
+        tuple(sorted((alpha, beta)))
+        for da in orders
+        for db in orders
+        if math.lcm(da, db) <= f_max
+        for alpha in primitive[da]
+        for beta in primitive[db]
+        if alpha != beta
+    }
+    classes = []
+    for alpha, beta in sorted(candidates, key=lambda p: (math.lcm(p[0].order, p[1].order), p)):
+        modulus = math.lcm(alpha.order, beta.order)
+        a, b = (v.numerator * (modulus // v.order) for v in (alpha, beta))
+        decision = pair_feasible(a, b, modulus, mode)
+        if decision.feasible:
+            classes.append(PairClass(decision.pair, decision.witness, decision.minimal_sum, decision))
+    return tuple(classes)

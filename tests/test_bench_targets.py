@@ -46,8 +46,8 @@ REBOUND_NAMES = [
     ("reidtai.cli", "classify_pairs", "reidtai.search"),
     ("reidtai.torus", "cyclotomic_spectrum", "reidtai.lattice"),
     ("reidtai.torus", "mat_mul", "reidtai.lattice"),
-    ("reidtai.torus", "solve_torus_congruence", "reidtai.lattice"),
     ("reidtai.torus", "saturate", "reidtai.lattice"),
+    ("reidtai.torus", "snf", "reidtai.lattice"),
 ]
 
 

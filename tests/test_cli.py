@@ -59,6 +59,24 @@ class TestConformanceExit:
         capsys.readouterr()
 
 
+class TestArgparseExit:
+    """main returns argparse's exit code instead of raising SystemExit."""
+
+    @pytest.mark.parametrize("argv", [["age"], ["orders-scan", "--bound", "x"]])
+    def test_malformed_vector_returns_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: reidtai")
+
+    def test_module_exit_code_and_stderr_unchanged(self):
+        result = run_cli("orders-scan", "--bound", "x")
+        assert result.returncode == 2
+        assert result.stderr.endswith("error: argument --bound: invalid int value: 'x'\n")
+
+
 class TestTorusCommands:
     @pytest.fixture()
     def kummer_file(self, tmp_path):

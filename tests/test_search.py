@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reidtai.roots import RootOfUnity, euler_phi, unit_classes
+from reidtai.roots import RootOfUnity, euler_phi, galois_apply, unit_classes
 from reidtai.search import (
     CONFIRMED_ORDERS,
     MODE_ORBIT_SETS,
@@ -16,7 +16,9 @@ from reidtai.search import (
     AvOrbitResult,
     OrbitClass,
     SigmaWitness,
+    _galois_orbits,
     _multiplicity_variants,
+    _pair_candidates,
     _value_union_minimum,
     av_orbit_feasibility,
     classify_pairs,
@@ -27,6 +29,7 @@ from reidtai.search import (
     pair_feasible,
     table1,
 )
+from search_oracles import classify_pairs_per_pair
 from search_oracles import subset_min_sum as _subset_min_sum
 
 
@@ -195,6 +198,28 @@ def _nonzero_roots(draw, max_modulus, min_size, max_size):
 
 
 _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _pair_and_unit(draw, max_f):
+    """A pair a/f < b/f of nonzero values and a unit k modulo the lcm of their orders."""
+    f = draw(st.integers(3, max_f))
+    a = draw(st.integers(1, f - 2))
+    b = draw(st.integers(a + 1, f - 1))
+    modulus = math.lcm(R(a, f).order, R(b, f).order)
+    return a, b, f, draw(st.sampled_from(unit_classes(modulus).units))
+
+
+class TestGaloisTwistInvariance:
+    @_PROPERTY_SETTINGS
+    @given(_pair_and_unit(60))
+    def test_twisted_pair_gets_the_same_decision(self, case):
+        a, b, f, k = case
+        twisted = sorted((k * a % f, k * b % f))
+        before = pair_feasible(a, b, f, MODE_VALUE_UNION)
+        after = pair_feasible(*twisted, f, MODE_VALUE_UNION)
+        assert (after.feasible, after.minimal_sum) == (before.feasible, before.minimal_sum)
+        assert pair_feasible(*twisted, f, MODE_ORBIT_SETS).orbit == pair_feasible(a, b, f, MODE_ORBIT_SETS).orbit
 
 
 class TestIntegerKernelsMatchFractionReferences:
@@ -431,6 +456,21 @@ class TestClassifyPairs:
                 for v in c.values
             }
             assert sum(values, Fraction(0)) == c.minimal_sum
+
+    def test_galois_orbits_partition_the_candidates(self):
+        candidates = _pair_candidates(126)
+        orbits = _galois_orbits(candidates)
+        assert (len(candidates), len(orbits)) == (1437, 143)
+        assert sorted(i for orbit in orbits for i in orbit) == list(range(len(candidates)))
+        lift = [(modulus, (R(a, modulus), R(b, modulus))) for modulus, a, b in candidates]
+        for orbit in orbits:
+            modulus, pair = lift[orbit[0]]
+            twists = {tuple(sorted(galois_apply(k, v) for v in pair)) for k in unit_classes(modulus).units}
+            assert {lift[i][1] for i in orbit} == twists
+
+    def test_matches_per_pair_oracle(self, value_union, orbit_sets):
+        assert value_union[0] == classify_pairs_per_pair(126, MODE_VALUE_UNION)
+        assert orbit_sets[0] == classify_pairs_per_pair(126, MODE_ORBIT_SETS)
 
     def test_orbit_subset_of_value_union(self, value_union, orbit_sets):
         assert {c.values for c in orbit_sets[0]} <= {c.values for c in value_union[0]}
