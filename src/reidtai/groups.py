@@ -1,4 +1,4 @@
-"""The one subgroup-closure routine, shared by the monomial and torus groups.
+"""The one subgroup-closure routine and canonical order, shared by the monomial and torus groups.
 
 Dimino's coset algorithm (G. Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991).  An element needs nothing but
@@ -7,9 +7,10 @@ Permutation Groups*, LNCS 559, 1991).  An element needs nothing but
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Callable, Collection, Iterable
 
-__all__ = ["GroupTooLargeError", "generate"]
+__all__ = ["GroupTooLargeError", "canonical", "generate"]
 
 
 class GroupTooLargeError(RuntimeError):
@@ -45,3 +46,19 @@ def generate(elements: Iterable, identity, cap: int) -> tuple[list, tuple]:
                 seen.update(coset)
                 reps.append(y)
     return members, tuple(used)
+
+
+def canonical(elements: Collection, parts: Callable) -> tuple:
+    """The elements sorted by (head, k/m for each numerator k), where parts(g) = (head, numerators, m).
+
+    This is the ``sort_key`` order of both element kinds, without building a Fraction: values k/m
+    in [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
+    """
+    lcm = math.lcm(*{parts(g)[2] for g in elements})
+
+    def key(g):
+        head, numerators, m = parts(g)
+        f = lcm // m
+        return head, tuple([k * f for k in numerators])
+
+    return tuple(sorted(elements, key=key))

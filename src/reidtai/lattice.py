@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .roots import RootOfUnity, euler_phi
+from .roots import RootOfUnity, euler_phi, over_common_modulus
 from .spectra import Spectrum
 
 __all__ = [
@@ -307,9 +307,8 @@ def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, t
         raise ValueError("matrix must be square")
     if len(t) != n:
         raise ValueError("translation length mismatch")
-    t = [Fraction(v) for v in t]
-    d = math.lcm(*(v.denominator for v in t))
-    x = _torus_congruence_solver(m)([v.numerator * (d // v.denominator) for v in t], d)
+    d, numerators = over_common_modulus([Fraction(v) for v in t])
+    x = _torus_congruence_solver(m)(numerators, d)
     return x is not None, x
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, generate
-from .roots import RootOfUnity
+from .groups import GroupTooLargeError, canonical, generate
+from .roots import RootOfUnity, over_common_modulus, over_least_modulus
 from .spectra import Spectrum
 
 __all__ = [
@@ -54,31 +55,24 @@ class MonomialElement:
             raise ValueError("phase vector length mismatch")
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        self._reduce(self.phase_numerators, self.modulus)
-
-    def _reduce(self, numerators: Iterable[int], m: int) -> None:
-        """Store the numerators mod m over the least faithful modulus; hashing relies on it."""
-        nums = [k % m for k in numerators]
-        g = math.gcd(m, *nums)
-        if g > 1:
-            m //= g
-            nums = [k // g for k in nums]
-        object.__setattr__(self, "phase_numerators", tuple(nums))
+        nums, m = over_least_modulus(self.phase_numerators, self.modulus)
+        object.__setattr__(self, "phase_numerators", nums)
         object.__setattr__(self, "modulus", m)
 
     @classmethod
     def _trusted(cls, permutation: tuple[int, ...], numerators: Iterable[int], m: int) -> "MonomialElement":
         """A product or inverse of valid elements: the permutation and length checks cannot fail."""
         g = object.__new__(cls)
+        nums, m = over_least_modulus(numerators, m)
         object.__setattr__(g, "permutation", permutation)
-        g._reduce(numerators, m)
+        object.__setattr__(g, "phase_numerators", nums)
+        object.__setattr__(g, "modulus", m)
         return g
 
     @classmethod
     def from_phases(cls, permutation: Sequence[int], phases: Sequence) -> "MonomialElement":
-        fracs = [RootOfUnity(Fraction(p)) for p in phases]
-        m = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
-        return cls(tuple(permutation), tuple(f.numerator * (m // f.denominator) for f in fracs), m)
+        m, nums = over_common_modulus([Fraction(p) for p in phases])
+        return cls(tuple(permutation), tuple(nums), m)
 
     @property
     def degree(self) -> int:
@@ -112,7 +106,7 @@ class MonomialElement:
         return MonomialElement._trusted(tuple(inv), nums, self.modulus)
 
     def sort_key(self):
-        """The canonical order; ``_canonical`` sorts a set the same way on ints."""
+        """The canonical order; ``groups.canonical`` sorts a set the same way on ints."""
         return (self.permutation, self.phases)
 
     def cycles(self) -> list[list[int]]:
@@ -187,21 +181,6 @@ class MonomialGroup:
         return g in self._members
 
 
-def _canonical(elements: Collection[MonomialElement]) -> tuple[MonomialElement, ...]:
-    """The elements in ``sort_key`` order without building a phase.
-
-    Phases k/m in [0, 1) compare like the ints k * (L // m) over L, the lcm
-    of the moduli present.
-    """
-    lcm = math.lcm(*{g.modulus for g in elements})
-
-    def key(g: MonomialElement):
-        f = lcm // g.modulus
-        return g.permutation, tuple(k * f for k in g.phase_numerators)
-
-    return tuple(sorted(elements, key=key))
-
-
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000, degree: int | None = None) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
@@ -210,7 +189,7 @@ def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000
             raise ValueError("need generators or an explicit degree")
         degree = gens[0].degree
     members, _ = generate(gens, monomial_identity(degree), cap)
-    return MonomialGroup(degree, _canonical(members), gens)
+    return MonomialGroup(degree, canonical(members, attrgetter("permutation", "phase_numerators", "modulus")), gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -254,7 +233,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
                     seen.add(y)
                     new.append(y)
         frontier = new
-    return _canonical(seen)
+    return canonical(seen, attrgetter("permutation", "phase_numerators", "modulus"))
 
 
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
@@ -267,7 +246,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
     if g not in group:
         raise ValueError("element does not belong to the group")
     members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
-    return MonomialGroup(group.degree, _canonical(members), used)
+    return MonomialGroup(group.degree, canonical(members, attrgetter("permutation", "phase_numerators", "modulus")), used)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 __all__ = [
     "RootOfUnity",
@@ -21,6 +22,8 @@ __all__ = [
     "euler_phi",
     "galois_apply",
     "normalize",
+    "over_common_modulus",
+    "over_least_modulus",
     "unit_classes",
 ]
 
@@ -67,6 +70,21 @@ def galois_apply(k: int, z: RootOfUnity) -> RootOfUnity:
 def conjugate(z: RootOfUnity) -> RootOfUnity:
     """Complex conjugation e(x) -> e(-x)."""
     return RootOfUnity(-z.numerator, z.denominator)
+
+
+def over_common_modulus(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm M of the values' denominators and each value's numerator over M."""
+    modulus = math.lcm(*(v.denominator for v in values))
+    return modulus, [v.numerator * (modulus // v.denominator) for v in values]
+
+
+def over_least_modulus(numerators: Iterable[int], m: int) -> tuple[tuple[int, ...], int]:
+    """The numerators k/m mod 1 as numerators in [0, m') over the least modulus m' dividing m."""
+    nums = [k % m for k in numerators]
+    g = math.gcd(m, *nums)
+    if g > 1:
+        return tuple([k // g for k in nums]), m // g
+    return tuple(nums), m
 
 
 def euler_phi(d: int) -> int:

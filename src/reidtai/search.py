@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION
-from .roots import RootOfUnity, unit_classes
+from .roots import RootOfUnity, euler_phi, over_common_modulus, unit_classes
 from .spectra import Spectrum
 
 __all__ = [
@@ -141,17 +141,12 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
 # ---------------------------------------------------------------------------
 #
 # The search kernels work on integer numerators over one modulus M, the lcm
-# of the orders involved: the value x/M is the int x, a Galois twist is
-# u*x % M, conjugation is -x % M and "below 1" is "below M".  Over a fixed M
-# the ints sort exactly as the fractions they stand for, so every sort,
-# prune and tie-break gives what it gives on Fractions; Fraction and
-# RootOfUnity objects are built only for what the kernels return.
-
-
-def _over_common_modulus(values: Sequence[RootOfUnity]) -> tuple[int, list[int]]:
-    """The lcm M of the values' orders and each value's numerator over M."""
-    modulus = math.lcm(*(v.denominator for v in values))
-    return modulus, [v.numerator * (modulus // v.denominator) for v in values]
+# of the orders involved (``roots.over_common_modulus``): the value x/M is
+# the int x, a Galois twist is u*x % M, conjugation is -x % M and "below 1"
+# is "below M".  Over a fixed M the ints sort exactly as the fractions they
+# stand for, so every sort, prune and tie-break gives what it gives on
+# Fractions; Fraction and RootOfUnity objects are built only for what the
+# kernels return.
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +155,10 @@ def _over_common_modulus(values: Sequence[RootOfUnity]) -> tuple[int, list[int]]
 
 
 def min_halforbit_sum(d: int) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimal sum of one representative u/d per conjugate pair {u, d-u}."""
-    reps = tuple(min(pair) for pair in unit_classes(d).pairs)
+    """Minimal sum of one representative u/d per conjugate pair {u, d-u}: the units u <= d/2."""
+    if d < 2:
+        raise ValueError(f"modulus must be at least 2, got {d}")
+    reps = tuple(u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1)
     return Fraction(sum(reps), d), reps
 
 
@@ -256,7 +253,7 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
         raise ValueError("empty eigenvalue multiset")
     if any(v == 0 for v in ms):
         raise ValueError("multiset entries must be nonzero roots of unity")
-    modulus, scaled = _over_common_modulus(ms)
+    modulus, scaled = over_common_modulus(ms)
     twists = {tuple(sorted(k * x % modulus for x in scaled)) for k in unit_classes(modulus).units}
     # Twisting by -k conjugates, so every conjugate twist is itself a twist.
     root = {x: RootOfUnity(x, modulus) for x in set().union(*twists)}
@@ -294,10 +291,15 @@ class SigmaWitness:
     chosen_residues: tuple[int, ...]
 
     def covers_conjugate_pairs(self) -> bool:
+        d = self.modulus
         chosen = set(self.chosen_residues)
-        if any(math.gcd(u, self.modulus) != 1 or not 0 < u < self.modulus for u in chosen):
+        if any(math.gcd(u, d) != 1 or not 0 < u < d for u in chosen):
             return False
-        return all(any(u in chosen for u in pair) for pair in unit_classes(self.modulus).pairs)
+        # Too few residues to cover the pairs is decided without listing the units mod d;
+        # a modulus that is not an int >= 2 is left to unit_classes to reject.
+        if isinstance(d, int) and d >= 2 and len(chosen) < (euler_phi(d) // 2 or 1):
+            return False
+        return all(any(u in chosen for u in pair) for pair in unit_classes(d).pairs)
 
     def to_json(self) -> dict:
         return {"modulus": self.modulus, "chosen_residues": list(self.chosen_residues)}
@@ -313,7 +315,7 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     copy of a side could never beat the first, so only the smaller u is
     kept, and a conjugate pair {a, -a} is one path instead of 2^pairs leaves.
     """
-    modulus, (a, b) = _over_common_modulus((alpha, beta))
+    modulus, (a, b) = over_common_modulus((alpha, beta))
     options = []
     for pair in unit_classes(modulus).pairs:
         sides: dict[frozenset[int], int] = {}
@@ -511,7 +513,7 @@ class MultisetEnumeration:
 
 def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
     """All multisets using every listed value at least once with total sum < 1."""
-    modulus, scaled = _over_common_modulus(values)
+    modulus, scaled = over_common_modulus(values)
     out = []
     k = len(values)
 

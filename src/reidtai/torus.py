@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Collection, Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, generate
+from .groups import GroupTooLargeError, canonical, generate
 from .lattice import (
     _torus_congruence_solver,
     IntMatrix,
@@ -37,6 +38,7 @@ from .lattice import (
     unimodular_inverse,
     zero_sublattice,
 )
+from .roots import over_common_modulus, over_least_modulus
 from .spectra import Spectrum
 
 __all__ = [
@@ -85,26 +87,20 @@ class AffineTorusMap:
         t = tuple(Fraction(x) for x in translation)
         if len(t) != n:
             raise ValueError("translation length mismatch")
-        d = math.lcm(*(x.denominator for x in t))
+        d, nums = over_common_modulus(t)
+        nums, d = over_least_modulus(nums, d)
         object.__setattr__(self, "linear", linear)
-        self._reduce((x.numerator * (d // x.denominator) for x in t), d)
-
-    def _reduce(self, numerators: Iterable[int], d: int) -> None:
-        """Store the numerators mod d over the least common denominator; hashing relies on it."""
-        nums = [k % d for k in numerators]
-        g = math.gcd(d, *nums)
-        if g > 1:
-            d //= g
-            nums = [k // g for k in nums]
-        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", d)
 
     @classmethod
     def _trusted(cls, linear: IntMatrix, numerators: Iterable[int], d: int) -> "AffineTorusMap":
         """A map built from valid ones: the linear part is already a square int matrix."""
         g = object.__new__(cls)
+        nums, d = over_least_modulus(numerators, d)
         object.__setattr__(g, "linear", linear)
-        g._reduce(numerators, d)
+        object.__setattr__(g, "numerators", nums)
+        object.__setattr__(g, "denominator", d)
         return g
 
     @property
@@ -137,7 +133,7 @@ class AffineTorusMap:
         return AffineTorusMap._trusted(minv, (-x for x in mat_vec(minv, self.numerators)), self.denominator)
 
     def sort_key(self):
-        """The canonical order; ``_canonical`` sorts a set the same way on ints."""
+        """The canonical order; ``groups.canonical`` sorts a set the same way on ints."""
         return (self.linear, self.translation)
 
     def to_json(self) -> dict:
@@ -166,21 +162,6 @@ def affine_identity(n: int) -> AffineTorusMap:
     return AffineTorusMap._trusted(identity(n), (0,) * n, 1)
 
 
-def _canonical(maps: Collection[AffineTorusMap]) -> tuple[AffineTorusMap, ...]:
-    """The maps in ``sort_key`` order without building a translation.
-
-    Translations k/d in [0, 1) compare like the ints k * (L // d) over L,
-    the lcm of the denominators present.
-    """
-    lcm = math.lcm(*{g.denominator for g in maps})
-
-    def key(g: AffineTorusMap):
-        f = lcm // g.denominator
-        return g.linear, tuple(k * f for k in g.numerators)
-
-    return tuple(sorted(maps, key=key))
-
-
 @dataclass(frozen=True)
 class TorusAction:
     """A closed finite group of affine torus maps, canonically ordered."""
@@ -206,7 +187,7 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
         if matrix_order(g.linear) is None:
             raise ValueError("generator linear part has infinite order")
     members, _ = generate(gens, affine_identity(n), cap)
-    return TorusAction(n, _canonical(members), gens)
+    return TorusAction(n, canonical(members, attrgetter("linear", "numerators", "denominator")), gens)
 
 
 @dataclass(frozen=True)
@@ -300,7 +281,7 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
         block = tuple(row[r:] for row in m2[r:])
         for g in run:
             induced[g] = AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator)
-    elements = _canonical(set(induced.values()))
+    elements = canonical(set(induced.values()), attrgetter("linear", "numerators", "denominator"))
     return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
 
 

@@ -325,6 +325,40 @@ class TestWitnessRoundTrip:
             assert main(["verify-witness", str(wfile)]) == 1, witness
             assert capsys.readouterr().out.startswith("FAILED: orbit total mismatch")
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            {"kind": "order", "d": 10**9 + 7, "representatives": [1], "sum": "1/1000000007"},
+            {"kind": "order", "d": 10**9 + 7, "representatives": [], "sum": "0"},
+            {
+                "kind": "pair-value-union",
+                "pair": ["1/1000000007", "2/1000000007"],
+                "sigma": {"modulus": 10**9 + 7, "chosen_residues": [1]},
+                "values": ["1/1000000007", "2/1000000007"],
+                "minimal_sum": "3/1000000007",
+                "feasible": True,
+            },
+        ],
+        ids=["order", "order-no-residue", "pair-value-union"],
+    )
+    def test_few_residues_fail_without_listing_the_units(self, witness, tmp_path):
+        # one residue cannot cover the 5 * 10^8 conjugate pairs of units mod 10^9 + 7
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(witness))
+        result = subprocess.run(
+            [sys.executable, "-m", "reidtai.cli", "verify-witness", str(wfile)],
+            capture_output=True, text=True, cwd=REPO, timeout=10,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.startswith("FAILED: ")
+
+    @pytest.mark.parametrize("d", [1, 0, -5, 2.0, 7.5, "7", None])
+    def test_order_witness_bad_modulus_exit_2(self, d, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps({"kind": "order", "d": d, "representatives": [], "sum": "0"}))
+        assert main(["verify-witness", str(wfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad witness payload")
+
     def test_conjugate_pair_search_terminates(self, tmp_path):
         # {1/59, 58/59}: sides u and -u of each of the 29 conjugate pairs of
         # units give one value set; searching both sides would walk 2^29 leaves.

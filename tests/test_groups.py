@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidtai import groups, monomial, torus
 from reidtai.lattice import identity
@@ -104,3 +107,45 @@ def test_generate_skips_redundant_elements():
     assert sorted(members, key=MonomialElement.sort_key) == sorted(
         [monomial.monomial_identity(3), g, g2], key=MonomialElement.sort_key
     )
+
+
+_PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _monomial_set(draw):
+    """Elements of one degree over mixed moduli; a few permutations, so heads tie."""
+    n = draw(st.integers(1, 3))
+    elements = set()
+    for _ in range(draw(st.integers(0, 12))):
+        m = draw(st.integers(1, 24))
+        nums = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        elements.add(MonomialElement(tuple(draw(st.permutations(range(n)))), tuple(nums), m))
+    return elements
+
+
+@st.composite
+def _torus_set(draw):
+    """Maps of one rank over mixed denominators, with linear parts from a small pool, so heads tie."""
+    n = draw(st.integers(1, 3))
+    pool = [identity(n), tuple(tuple(-x for x in row) for row in identity(n))]
+    maps = set()
+    for _ in range(draw(st.integers(0, 12))):
+        d = draw(st.integers(1, 24))
+        t = [F(k, d) for k in draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))]
+        maps.add(AffineTorusMap(draw(st.sampled_from(pool)), t))
+    return maps
+
+
+@_PROPERTY_SETTINGS
+@given(_monomial_set())
+def test_canonical_is_sort_key_order_for_monomial_elements(elements):
+    parts = attrgetter("permutation", "phase_numerators", "modulus")
+    assert groups.canonical(elements, parts) == tuple(sorted(elements, key=MonomialElement.sort_key))
+
+
+@_PROPERTY_SETTINGS
+@given(_torus_set())
+def test_canonical_is_sort_key_order_for_torus_maps(maps):
+    parts = attrgetter("linear", "numerators", "denominator")
+    assert groups.canonical(maps, parts) == tuple(sorted(maps, key=AffineTorusMap.sort_key))

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidtai.roots import (
     RootOfUnity,
@@ -9,8 +12,12 @@ from reidtai.roots import (
     euler_phi,
     galois_apply,
     normalize,
+    over_common_modulus,
+    over_least_modulus,
     unit_classes,
 )
+
+_PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def _phi_bruteforce(d):
@@ -111,3 +118,21 @@ class TestRootOfUnity:
     def test_str_serialization(self):
         assert str(RootOfUnity(5, 18)) == "5/18"
         assert str(RootOfUnity(0, 3)) == "0"
+
+
+class TestSharedModulus:
+    @_PROPERTY_SETTINGS
+    @given(st.lists(st.fractions(max_denominator=60), max_size=6))
+    def test_over_common_modulus_matches_the_fractions(self, values):
+        modulus, numerators = over_common_modulus(values)
+        assert modulus == math.lcm(*(v.denominator for v in values))
+        assert [Fraction(k, modulus) for k in numerators] == values
+
+    @_PROPERTY_SETTINGS
+    @given(st.integers(1, 360), st.lists(st.integers(-2000, 2000), max_size=6))
+    def test_over_least_modulus_keeps_every_value(self, m, numerators):
+        reduced, least = over_least_modulus(numerators, m)
+        assert [Fraction(k, least) for k in reduced] == [Fraction(k, m) % 1 for k in numerators]
+        assert all(0 <= k < least for k in reduced)
+        assert math.gcd(least, *reduced) == 1
+        assert least == math.lcm(*(Fraction(k, m).denominator for k in numerators))

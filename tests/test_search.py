@@ -257,6 +257,14 @@ class TestMinHalforbitSum:
         for d in range(2, 61):
             assert min_halforbit_sum(d)[0] == _subset_min_sum(d)
 
+    def test_representatives_are_the_smaller_unit_of_each_pair(self):
+        for d in range(2, 401):
+            reps = tuple(min(pair) for pair in unit_classes(d).pairs)
+            assert min_halforbit_sum(d) == (Fraction(sum(reps), d), reps)
+        for d in (1, 0, -3):
+            with pytest.raises(ValueError):
+                min_halforbit_sum(d)
+
 
 class TestTable1:
     EXPECTED = [

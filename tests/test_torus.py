@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reidtai.lattice import identity, mat, mat_mul
+from reidtai.lattice import cyclotomic_spectrum, identity, mat, mat_mul
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
@@ -424,6 +425,26 @@ class TestAffineMapLaws:
             assert g.compose(h).apply(x) == g.apply(h.apply(x))
             assert g.compose(g.inverse()).is_identity()
             assert g.inverse().compose(g).is_identity()
+
+
+def _trace_of_power(m, k):
+    """tr(m^k) by k row-by-column products, independent of the lattice module."""
+    n = len(m)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        power = [[sum(row[l] * m[l][j] for l in range(n)) for j in range(n)] for row in power]
+    return sum(power[i][i] for i in range(n))
+
+
+class TestSpectrumTraceOracle:
+    @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+    def test_power_sums_are_traces(self, path):
+        # the power sums p_k = tr(M^k), k = 1..n, fix the n eigenvalues of M
+        for linear in {g.linear for g in _load_action(path).elements}:
+            values = cyclotomic_spectrum(linear).values
+            for k in range(1, len(linear) + 1):
+                power_sum = sum(cmath.exp(2j * cmath.pi * float(k * r % 1)) for r in values)
+                assert abs(power_sum - _trace_of_power(linear, k)) < 1e-9, (linear, k)
 
 
 class TestOneDerivationPerStage:
