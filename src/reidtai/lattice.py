@@ -307,7 +307,7 @@ def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, t
         raise ValueError("matrix must be square")
     if len(t) != n:
         raise ValueError("translation length mismatch")
-    d, numerators = over_common_modulus([Fraction(v) for v in t])
+    numerators, d = over_common_modulus([Fraction(v) for v in t])
     x = _torus_congruence_solver(m)(numerators, d)
     return x is not None, x
 

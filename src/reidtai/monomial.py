@@ -38,6 +38,8 @@ __all__ = [
     "spectrum_of",
 ]
 
+_PARTS = attrgetter("permutation", "phase_numerators", "modulus")  # MonomialElement's parts for groups.canonical
+
 
 @dataclass(frozen=True)
 class MonomialElement:
@@ -71,7 +73,7 @@ class MonomialElement:
 
     @classmethod
     def from_phases(cls, permutation: Sequence[int], phases: Sequence) -> "MonomialElement":
-        m, nums = over_common_modulus([Fraction(p) for p in phases])
+        nums, m = over_common_modulus([Fraction(p) for p in phases])
         return cls(tuple(permutation), tuple(nums), m)
 
     @property
@@ -189,7 +191,7 @@ def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000
             raise ValueError("need generators or an explicit degree")
         degree = gens[0].degree
     members, _ = generate(gens, monomial_identity(degree), cap)
-    return MonomialGroup(degree, canonical(members, attrgetter("permutation", "phase_numerators", "modulus")), gens)
+    return MonomialGroup(degree, canonical(members, _PARTS), gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -233,7 +235,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
                     seen.add(y)
                     new.append(y)
         frontier = new
-    return canonical(seen, attrgetter("permutation", "phase_numerators", "modulus"))
+    return canonical(seen, _PARTS)
 
 
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
@@ -246,7 +248,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
     if g not in group:
         raise ValueError("element does not belong to the group")
     members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
-    return MonomialGroup(group.degree, canonical(members, attrgetter("permutation", "phase_numerators", "modulus")), used)
+    return MonomialGroup(group.degree, canonical(members, _PARTS), used)
 
 
 # ---------------------------------------------------------------------------

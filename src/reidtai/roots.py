@@ -72,10 +72,10 @@ def conjugate(z: RootOfUnity) -> RootOfUnity:
     return RootOfUnity(-z.numerator, z.denominator)
 
 
-def over_common_modulus(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm M of the values' denominators and each value's numerator over M."""
+def over_common_modulus(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Each value's numerator over M, and the lcm M of the values' denominators."""
     modulus = math.lcm(*(v.denominator for v in values))
-    return modulus, [v.numerator * (modulus // v.denominator) for v in values]
+    return [v.numerator * (modulus // v.denominator) for v in values], modulus
 
 
 def over_least_modulus(numerators: Iterable[int], m: int) -> tuple[tuple[int, ...], int]:

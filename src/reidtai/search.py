@@ -253,7 +253,7 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
         raise ValueError("empty eigenvalue multiset")
     if any(v == 0 for v in ms):
         raise ValueError("multiset entries must be nonzero roots of unity")
-    modulus, scaled = over_common_modulus(ms)
+    scaled, modulus = over_common_modulus(ms)
     twists = {tuple(sorted(k * x % modulus for x in scaled)) for k in unit_classes(modulus).units}
     # Twisting by -k conjugates, so every conjugate twist is itself a twist.
     root = {x: RootOfUnity(x, modulus) for x in set().union(*twists)}
@@ -292,14 +292,13 @@ class SigmaWitness:
 
     def covers_conjugate_pairs(self) -> bool:
         d = self.modulus
+        if not isinstance(d, int) or d < 2:
+            raise ValueError(f"modulus must be at least 2, got {d!r}")
         chosen = set(self.chosen_residues)
         if any(math.gcd(u, d) != 1 or not 0 < u < d for u in chosen):
             return False
-        # Too few residues to cover the pairs is decided without listing the units mod d;
-        # a modulus that is not an int >= 2 is left to unit_classes to reject.
-        if isinstance(d, int) and d >= 2 and len(chosen) < (euler_phi(d) // 2 or 1):
-            return False
-        return all(any(u in chosen for u in pair) for pair in unit_classes(d).pairs)
+        # Each unit u lies in exactly one pair {u, d-u}, named by min(u, d-u).
+        return len({min(u, d - u) for u in chosen}) == (euler_phi(d) // 2 or 1)
 
     def to_json(self) -> dict:
         return {"modulus": self.modulus, "chosen_residues": list(self.chosen_residues)}
@@ -315,7 +314,7 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     copy of a side could never beat the first, so only the smaller u is
     kept, and a conjugate pair {a, -a} is one path instead of 2^pairs leaves.
     """
-    modulus, (a, b) = over_common_modulus((alpha, beta))
+    (a, b), modulus = over_common_modulus((alpha, beta))
     options = []
     for pair in unit_classes(modulus).pairs:
         sides: dict[frozenset[int], int] = {}
@@ -513,7 +512,7 @@ class MultisetEnumeration:
 
 def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
     """All multisets using every listed value at least once with total sum < 1."""
-    modulus, scaled = over_common_modulus(values)
+    scaled, modulus = over_common_modulus(values)
     out = []
     k = len(values)
 

@@ -64,6 +64,7 @@ __all__ = [
 KODAIRA_ZERO = "KodairaZero"
 UNIRULED_NOT_RC = "UniruledNotRC"
 RATIONALLY_CONNECTED = "RationallyConnected"
+_PARTS = attrgetter("linear", "numerators", "denominator")  # AffineTorusMap's parts for groups.canonical
 
 
 @dataclass(frozen=True, init=False)
@@ -87,8 +88,7 @@ class AffineTorusMap:
         t = tuple(Fraction(x) for x in translation)
         if len(t) != n:
             raise ValueError("translation length mismatch")
-        d, nums = over_common_modulus(t)
-        nums, d = over_least_modulus(nums, d)
+        nums, d = over_least_modulus(*over_common_modulus(t))
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", d)
@@ -187,7 +187,7 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
         if matrix_order(g.linear) is None:
             raise ValueError("generator linear part has infinite order")
     members, _ = generate(gens, affine_identity(n), cap)
-    return TorusAction(n, canonical(members, attrgetter("linear", "numerators", "denominator")), gens)
+    return TorusAction(n, canonical(members, _PARTS), gens)
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
         block = tuple(row[r:] for row in m2[r:])
         for g in run:
             induced[g] = AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator)
-    elements = canonical(set(induced.values()), attrgetter("linear", "numerators", "denominator"))
+    elements = canonical(set(induced.values()), _PARTS)
     return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
 
 

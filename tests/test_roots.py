@@ -124,7 +124,7 @@ class TestSharedModulus:
     @_PROPERTY_SETTINGS
     @given(st.lists(st.fractions(max_denominator=60), max_size=6))
     def test_over_common_modulus_matches_the_fractions(self, values):
-        modulus, numerators = over_common_modulus(values)
+        numerators, modulus = over_common_modulus(values)
         assert modulus == math.lcm(*(v.denominator for v in values))
         assert [Fraction(k, modulus) for k in numerators] == values
 
