@@ -29,9 +29,7 @@ from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, worker_count
 # such as a tracer that rebinds a function wherever it is bound, finds each.
 _ENGINE_NAMES = {
     "monomial": ("g_group", "g_group_order", "imprimitive_classification", "prop_prod_check"),
-    "roots": ("RootOfUnity",),
-    "search": ("SigmaWitness", "classify_pairs", "enumerate_exceptional_multisets", "feasible_orders",
-               "min_age_same_order", "table1"),
+    "search": ("classify_pairs", "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order", "table1"),
     "spectra": ("Spectrum",),
     "torus": ("AffineTorusMap", "closure", "filtration", "simple_av_screen"),
 }
@@ -376,109 +374,16 @@ def _cmd_extraspecial_scan(args) -> int:
     return EXIT_OK
 
 
-def _orbit_breakdown(values: list[Fraction]) -> tuple[Fraction, dict]:
-    """The orbit-sets total and the ``orbit`` object of its witness, from the definition.
-
-    Independent of the search: distinct Galois twists of the multiset, as
-    sorted tuples in ascending order, fall into conjugation classes; each
-    class lists its members (the twist, then its conjugate if different),
-    its minimal age and the first member of that age.  The total is the
-    sum of the minimal ages.
-    """
-    values = [v % 1 for v in values]
-    if not values or 0 in values:
-        raise ValueError("orbit-sets values must be nonzero roots of unity")
-    modulus = math.lcm(*(v.denominator for v in values))
-    twists = {
-        tuple(sorted(k * v % 1 for v in values)) for k in range(1, modulus) if math.gcd(k, modulus) == 1
-    }
-    total = Fraction(0)
-    classes = []
-    seen = set()
-    for t in sorted(twists):
-        if t in seen:
-            continue
-        tbar = tuple(sorted(-v % 1 for v in t))
-        seen.update((t, tbar))
-        members = (t,) if tbar == t else (t, tbar)
-        ages = [sum(m, Fraction(0)) for m in members]
-        min_age = min(ages)
-        total += min_age
-        classes.append({
-            "members": [[str(v) for v in m] for m in members],
-            "min_age": str(min_age),
-            "chosen": [str(v) for v in members[ages.index(min_age)]],
-        })
-    return total, {"total": str(total), "feasible": 0 < total < 1, "modulus": modulus, "classes": classes}
-
-
-def _verify_witness_payload(payload: dict) -> tuple[bool, str]:
-    from .roots import RootOfUnity
-    from .search import SigmaWitness
-
-    kind = payload.get("kind")
-    if kind == "order":
-        d = payload["d"]
-        reps = payload["representatives"]
-        total = Fraction(payload["sum"])
-        if not SigmaWitness(d, tuple(reps)).covers_conjugate_pairs():
-            return False, "representatives are not units in (0, d) covering every conjugate pair"
-        actual = sum((Fraction(u, d) for u in reps), Fraction(0))
-        if actual != total:
-            return False, f"sum mismatch: recomputed {actual}"
-        return actual < 1, f"sum {actual} {'<' if actual < 1 else '>='} 1"
-    if kind == f"pair-{MODE_VALUE_UNION}":
-        pair = [RootOfUnity(Fraction(v)) for v in payload["pair"]]
-        sigma = payload["sigma"]
-        chosen = set(sigma["chosen_residues"])
-        if not SigmaWitness(sigma["modulus"], tuple(chosen)).covers_conjugate_pairs():
-            return False, "sigma residues are not units in (0, modulus) covering every conjugate pair"
-        values = sorted({RootOfUnity(k * v.numerator, v.denominator) for k in chosen for v in pair})
-        if [str(v) for v in values] != payload["values"]:
-            return False, "expanded value set mismatch"
-        total = sum(values, Fraction(0))
-        if str(total) != payload["minimal_sum"]:
-            return False, f"sum mismatch: recomputed {total}"
-        if payload["feasible"] != (total < 1):
-            return False, "feasibility flag inconsistent with the sum"
-        return True, f"value union sums to {total}"
-    if kind == f"pair-{MODE_ORBIT_SETS}":
-        total, orbit = _orbit_breakdown([Fraction(v) for v in payload["pair"]])
-        if str(total) != payload["minimal_sum"]:
-            return False, f"orbit total mismatch: recomputed {total}"
-        if payload["feasible"] != (0 < total < 1):
-            return False, "feasibility flag inconsistent with the orbit total"
-        for key, value in orbit.items():
-            if payload["orbit"][key] != value:
-                return False, f"orbit {key} does not match the recomputation"
-        return True, f"orbit total {total}"
-    if kind == "multiset":
-        values = [Fraction(v) for v in payload["values"]]
-        total = sum(values, Fraction(0))
-        if str(total) != payload["sum"]:
-            return False, f"sum mismatch: recomputed {total}"
-        if not all(0 < v < 1 for v in values):
-            return False, "values must lie in (0, 1)"
-        if len(set(values)) < 2:
-            return False, "need at least two distinct values"
-        if total >= 1:
-            return False, f"sum {total} >= 1"
-        if "orbit_total" in payload:
-            orbit_total, _ = _orbit_breakdown(values)
-            if str(orbit_total) != payload["orbit_total"]:
-                return False, f"orbit total mismatch: recomputed {orbit_total}"
-            if not 0 < orbit_total < 1:
-                return False, f"orbit total {orbit_total} outside (0, 1)"
-        return True, f"sum {total}"
-    raise InputError(f"unknown witness kind {kind!r}")
-
-
 def _cmd_verify_witness(args) -> int:
+    from .witness import UnknownKindError, verify
+
     payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise InputError(f"bad witness payload: expected a JSON object, got {type(payload).__name__}")
     try:
-        ok, message = _verify_witness_payload(payload)
+        ok, message = verify(payload)
+    except UnknownKindError as exc:
+        raise InputError(str(exc)) from exc
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad witness payload: {exc}") from exc
     print(("verified: " if ok else "FAILED: ") + message)

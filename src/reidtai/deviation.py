@@ -38,25 +38,21 @@ __all__ = [
 ORTHO_TOL = 1e-9
 
 
-def _check_unitary(t: np.ndarray, what: str = "operator") -> np.ndarray:
+def _is_unitary(m: np.ndarray) -> bool:
+    """Whether max |M^H M - I| is within ORTHO_TOL (a NaN entry does not fail it)."""
+    return not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > ORTHO_TOL
+
+
+def _check_unitary(t, what: str = "operator") -> np.ndarray:
+    """T as a square complex array that is unitary; for ``what="basis"``, its columns are the basis vectors."""
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
+    basis = what == "basis"
     if t.shape != (n, n):
-        raise ValueError(f"{what} must be square")
-    if np.max(np.abs(t.conj().T @ t - np.eye(n))) > ORTHO_TOL:
-        raise ValueError(f"{what} is not unitary to {ORTHO_TOL}")
+        raise ValueError("basis must consist of n vectors of dimension n" if basis else f"{what} must be square")
+    if not _is_unitary(t):
+        raise ValueError(f"{what} is not {'orthonormal' if basis else 'unitary'} to {ORTHO_TOL}")
     return t
-
-
-def _check_basis(b: np.ndarray) -> np.ndarray:
-    """Columns must form an orthonormal basis."""
-    b = np.asarray(b, dtype=complex)
-    n = b.shape[0]
-    if b.shape != (n, n):
-        raise ValueError("basis must consist of n vectors of dimension n")
-    if np.max(np.abs(b.conj().T @ b - np.eye(n))) > ORTHO_TOL:
-        raise ValueError(f"basis is not orthonormal to {ORTHO_TOL}")
-    return b
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def deviation_wrt_basis(t, basis=None, label: str = "basis") -> DeviationReport:
     """d(T, B) = sum ||T(b) - b|| over the columns of the orthonormal basis B."""
     t = _check_unitary(t)
     n = t.shape[0]
-    b = np.eye(n, dtype=complex) if basis is None else _check_basis(basis)
+    b = np.eye(n, dtype=complex) if basis is None else _check_unitary(basis, "basis")
     diffs = t @ b - b
     per = tuple(float(np.linalg.norm(diffs[:, j])) for j in range(n))
     return DeviationReport(label, per, float(math.fsum(per)))
@@ -128,7 +124,7 @@ def product_bound_check(ts: Sequence, bases: Sequence | None = None) -> ProductB
         raise ValueError("dimension mismatch among factors")
     if bases is None:
         bases = [np.eye(dim, dtype=complex) for _ in ts]
-    bases = [_check_basis(b) for b in bases]
+    bases = [_check_unitary(b, "basis") for b in bases]
     if len(bases) != len(ts):
         raise ValueError("need one basis per factor")
 
@@ -283,7 +279,7 @@ def tensor_perm_trace_check(ts: Sequence) -> TensorPermTraceReport:
     for m in reversed(mats):
         product = product @ m
     ptrace = complex(np.trace(product))
-    unitary = all(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= ORTHO_TOL for m in mats)
+    unitary = all(_is_unitary(m) for m in mats)
     bound = float(d ** (n - 1))
     ok = abs(cyclic - ptrace) <= 1e-9 and (not unitary or abs(cyclic) <= bound + 1e-9)
     return TensorPermTraceReport(n, d, cyclic, ptrace, bound, ok)
@@ -322,6 +318,10 @@ class ExtraspecialRecord:
         }
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
     """Dimension screen for m copies of a p-group character-sum spectrum.
 
@@ -332,7 +332,7 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
     """
     if n_exp < 1 or m < 1:
         raise ValueError("need n_exp >= 1 and m >= 1")
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     mult = m * p ** (n_exp - 1)
     spectrum = Spectrum([Fraction(j, p) for j in range(p)] * mult)
@@ -359,7 +359,7 @@ def extraspecial_scan(max_dim: int = 32) -> tuple[ExtraspecialRecord, ...]:
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     records = []
-    primes = [p for p in range(2, max_dim + 1) if all(p % q for q in range(2, p))]
+    primes = [p for p in range(2, max_dim + 1) if _is_prime(p)]
     for p in primes:
         n_exp = 1
         while p**n_exp <= max_dim:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -117,6 +118,7 @@ class UnitClasses:
     pairs: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=None)
 def unit_classes(d: int) -> UnitClasses:
     """Partition the units mod d into conjugation pairs; requires d >= 2."""
     if d < 2:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION
-from .roots import RootOfUnity, euler_phi, over_common_modulus, unit_classes
+from .roots import RootOfUnity, over_common_modulus, unit_classes
 from .spectra import Spectrum
 
 __all__ = [
@@ -289,16 +289,6 @@ class SigmaWitness:
 
     modulus: int
     chosen_residues: tuple[int, ...]
-
-    def covers_conjugate_pairs(self) -> bool:
-        d = self.modulus
-        if not isinstance(d, int) or d < 2:
-            raise ValueError(f"modulus must be at least 2, got {d!r}")
-        chosen = set(self.chosen_residues)
-        if any(math.gcd(u, d) != 1 or not 0 < u < d for u in chosen):
-            return False
-        # Each unit u lies in exactly one pair {u, d-u}, named by min(u, d-u).
-        return len({min(u, d - u) for u in chosen}) == (euler_phi(d) // 2 or 1)
 
     def to_json(self) -> dict:
         return {"modulus": self.modulus, "chosen_residues": list(self.chosen_residues)}
@@ -605,7 +595,7 @@ def min_age_same_order(n: int, dim: int) -> Fraction | None:
     half_size = len(classes.pairs)
     half_sum, _ = min_halforbit_sum(n)
     full_size = len(classes.units)
-    full_sum = sum((Fraction(u, n) for u in classes.units), Fraction(0))
+    full_sum = Fraction(sum(classes.units), n)
     best = None
     for b in range(dim // full_size + 1):
         rem = dim - b * full_size

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from reidtai.cli import _verify_witness_payload
 from reidtai.deviation import eigenbasis_deviation, product_bound_check, tensor_perm_trace_check
 from reidtai.golden import TRACE_TABLE_CELLS
 from reidtai.lattice import (
@@ -52,6 +51,7 @@ from reidtai.torus import (
     filtration,
     simple_av_screen,
 )
+from reidtai.witness import verify as _verify_witness_payload
 from search_oracles import subset_min_sum as _subset_min_sum
 
 F = Fraction

@@ -338,11 +338,22 @@ class TestWitnessRoundTrip:
                 "minimal_sum": "3/1000000007",
                 "feasible": True,
             },
+            {"kind": "order", "d": 10**18 + 9, "representatives": [1], "sum": "1/1000000000000000009"},
+            {
+                "kind": "pair-orbit-sets",
+                "pair": ["1/200003", "2/200003"],
+                "minimal_sum": "1/2",
+                "feasible": True,
+                "orbit": {"total": "1/2", "feasible": True, "modulus": 200003, "classes": []},
+            },
+            {"kind": "multiset", "values": ["1/200003", "2/200003"], "sum": "3/200003", "orbit_total": "1/2"},
         ],
-        ids=["order", "order-no-residue", "pair-value-union"],
+        ids=["order", "order-no-residue", "pair-value-union", "order-prime-near-1e18", "pair-orbit-sets",
+             "multiset-orbit-total"],
     )
     def test_few_residues_fail_without_listing_the_units(self, witness, tmp_path):
-        # one residue cannot cover the 5 * 10^8 conjugate pairs of units mod 10^9 + 7
+        # One residue cannot cover the 5 * 10^8 conjugate pairs of units mod 10^9 + 7 (and 10^18 + 9 is
+        # prime, so no factoring of d); the orbit checks stop at the twists or total the witness claims.
         wfile = tmp_path / "w.json"
         wfile.write_text(json.dumps(witness))
         result = subprocess.run(

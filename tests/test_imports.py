@@ -127,6 +127,15 @@ def test_command_loads_only_its_engine(argv, absent):
     assert modules.isdisjoint(f"reidtai.{name}" for name in absent)
 
 
+def test_verify_witness_loads_no_engine(tmp_path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"kind": "order", "d": 9, "representatives": [1, 2, 4], "sum": "7/9"}))
+    modules = loaded_modules("verify-witness", str(wfile))
+    assert "reidtai.witness" in modules and "numpy" not in modules
+    engines = ("search", "spectra", "roots", "lattice", "monomial", "torus", "deviation", "golden")
+    assert modules.isdisjoint(f"reidtai.{name}" for name in engines)
+
+
 @pytest.mark.parametrize(
     "argv", [("deviation", "--spectrum", "1/6,1/3"), ("extraspecial-scan", "--max-dim", "9")],
     ids=["deviation", "extraspecial-scan"],

@@ -29,6 +29,7 @@ from reidtai.search import (
     pair_feasible,
     table1,
 )
+from reidtai.witness import covers_conjugate_pairs
 from search_oracles import classify_pairs_per_pair
 from search_oracles import subset_min_sum as _subset_min_sum
 
@@ -394,7 +395,7 @@ class TestPairFeasible:
             seen.add(key)
             total, witness, expanded = _value_union_minimum(*key)
             assert total == _value_union_min_oracle(*key), key
-            assert witness.covers_conjugate_pairs()
+            assert covers_conjugate_pairs(witness.modulus, witness.chosen_residues)
             assert sum(expanded, Fraction(0)) == total
 
 
@@ -457,7 +458,7 @@ class TestClassifyPairs:
         for c in classes:
             assert c.minimal_sum < 1
             sigma = c.witness
-            assert sigma.covers_conjugate_pairs()
+            assert covers_conjugate_pairs(sigma.modulus, sigma.chosen_residues)
             values = {
                 RootOfUnity(k * v.numerator, v.denominator)
                 for k in sigma.chosen_residues
