@@ -287,7 +287,7 @@ def _cmd_monomial_check(args) -> int:
     from .monomial import g_group, g_group_order, prop_prod_check
 
     group = g_group(args.m, args.p, args.n, cap=args.cap)
-    report = prop_prod_check(group, reflection_rep=args.reflection_rep, cap=args.cap)
+    report = prop_prod_check(group, reflection_rep=args.reflection_rep)
     payload = {
         "schema": 1,
         "m": args.m,

@@ -39,8 +39,8 @@ ORTHO_TOL = 1e-9
 
 
 def _is_unitary(m: np.ndarray) -> bool:
-    """Whether max |M^H M - I| is within ORTHO_TOL (a NaN entry does not fail it)."""
-    return not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > ORTHO_TOL
+    """Whether every entry is finite and max |M^H M - I| is within ORTHO_TOL."""
+    return bool(np.isfinite(m).all() and np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= ORTHO_TOL)
 
 
 def _check_unitary(t, what: str = "operator") -> np.ndarray:

@@ -308,15 +308,16 @@ def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, t
     if len(t) != n:
         raise ValueError("translation length mismatch")
     numerators, d = over_common_modulus([Fraction(v) for v in t])
-    x = _torus_congruence_solver(m)(numerators, d)
+    _, solve = _torus_congruence_solver(m)
+    x = solve(numerators, d)
     return x is not None, x
 
 
 def _torus_congruence_solver(m: IntMatrix):
-    """Solver of (M - I) x = -t on R^n/Z^n for one square M, from one Smith form of M - I.
+    """rank(M - I) and a solver of (M - I) x = -t on R^n/Z^n, from one Smith form of M - I.
 
-    It takes t as integer numerators over one denominator and returns one
-    solution in [0, 1)^n, or None when there is none.
+    The solver takes t as integer numerators over one denominator and
+    returns one solution in [0, 1)^n, or None when there is none.
     """
     n = len(m)
     dec = snf(tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
@@ -333,7 +334,7 @@ def _torus_congruence_solver(m: IntMatrix):
         common = denominator * scale
         return tuple(Fraction(sum(v * yj for v, yj in zip(row, y)) % common, common) for row in dec.v)
 
-    return solve
+    return sum(1 for d in diagonal if d), solve
 
 
 # ---------------------------------------------------------------------------

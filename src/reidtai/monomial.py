@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -183,13 +184,12 @@ class MonomialGroup:
         return g in self._members
 
 
-def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000, degree: int | None = None) -> MonomialGroup:
+def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
-    if degree is None:
-        if not gens:
-            raise ValueError("need generators or an explicit degree")
-        degree = gens[0].degree
+    if not gens:
+        raise ValueError("need at least one generator")
+    degree = gens[0].degree
     members, _ = generate(gens, monomial_identity(degree), cap)
     return MonomialGroup(degree, canonical(members, _PARTS), gens)
 
@@ -199,7 +199,7 @@ def g_group_order(m: int, p: int, n: int) -> int:
 
 
 def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
-    """The imprimitive monomial group G(m, p, n): phases in mu_m, phase product in mu_{m/p}."""
+    """G(m, p, n), listed in canonical order: every permutation, then phases in mu_m with product in mu_{m/p}."""
     if m < 1 or n < 1 or p < 1 or m % p:
         raise ValueError("need m, n >= 1 and p | m")
     expected = g_group_order(m, p, n)
@@ -215,10 +215,9 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(MonomialElement(tuple(perm), (0,) * n, 1))
-    group = monomial_closure(gens, cap=cap, degree=n)
-    if group.order != expected:
-        raise ArithmeticError(f"closure produced {group.order} elements, expected {expected}")
-    return group
+    phases = [ks for ks in product(range(m), repeat=n) if sum(ks) % p == 0]
+    elements = tuple(MonomialElement._trusted(s, ks, m) for s in permutations(range(n)) for ks in phases)
+    return MonomialGroup(n, elements, tuple(gens))
 
 
 def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialElement, ...]:
@@ -307,7 +306,7 @@ def _reported_spectrum(g: MonomialElement, reflection_rep: bool) -> Spectrum:
     return Spectrum(values)
 
 
-def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False, cap: int = 1_000_000) -> PropProdReport:
+def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropProdReport:
     """Scan a monomial group for exceptional elements, per conjugacy class.
 
     Entries whose normal closure is the whole group must have transposition
@@ -334,7 +333,7 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False, cap: int
             continue
         cls = conjugacy_class(g, group)
         assigned.update(cls)
-        closure_order = len(generate(cls, identity, cap)[0])
+        closure_order = len(generate(cls, identity, group.order)[0])
         spec = _reported_spectrum(cls[0], reflection_rep)
         entries.append(
             ExceptionalClassEntry(

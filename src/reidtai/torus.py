@@ -209,16 +209,16 @@ class ExceptionalElement:
 def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     """Elements with a fixed point whose linear-part age lies in (0, 1).
 
-    One spectrum and one Smith form per run of equal linear part (one run
-    each in the canonical order); the identity has age 0.
+    A finite-order integer M has age rank(M - I)/2 (an eigenvalue -1 adds 1/2,
+    a conjugate pair adds 1), so these are the reflections with a fixed point.
     """
     out = []
     for linear, run in groupby(action.elements, key=lambda g: g.linear):
+        rank, solve = _torus_congruence_solver(linear)
+        if rank != 1:
+            continue
         spec = cyclotomic_spectrum(linear)
         age = spec.age()
-        if not 0 < age < 1:
-            continue
-        solve = _torus_congruence_solver(linear)
         for g in run:
             x = solve(g.numerators, g.denominator)
             if x is not None:
@@ -226,7 +226,7 @@ def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     return tuple(out)
 
 
-def rt_subgroup(action: TorusAction, cap: int = 1_000_000) -> TorusAction:
+def rt_subgroup(action: TorusAction) -> TorusAction:
     """Subgroup generated by all exceptional elements (trivial when there are none).
 
     Lemma: this equals the subgroup generated by the age-below-1 stabilizer
@@ -239,7 +239,7 @@ def rt_subgroup(action: TorusAction, cap: int = 1_000_000) -> TorusAction:
     if not exc:
         ident = affine_identity(action.rank)
         return TorusAction(action.rank, (ident,), ())
-    return closure(tuple(e.element for e in exc), cap=cap)
+    return closure(tuple(e.element for e in exc), cap=action.order)
 
 
 def rt_tangent_sublattice(action: TorusAction) -> Sublattice:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -667,10 +668,23 @@ class TestDeviationCommand:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["total"] - 2**0.5) < 1e-9
 
-    def test_non_unitary_matrix_exit_2(self, tmp_path):
-        mfile = tmp_path / "m.json"
-        mfile.write_text(json.dumps([[[2, 0]]]))
-        assert main(["deviation", "--matrix", str(mfile)]) == 2
+    @pytest.mark.parametrize(
+        "flag, entry",
+        [(flag, entry) for flag in ("matrix", "basis") for entry in (2, float("nan"), float("inf"))],
+        ids=[f"{flag}-{entry}" for flag in ("matrix", "basis") for entry in ("2", "NaN", "Infinity")],
+    )
+    def test_non_unitary_matrix_exit_2(self, tmp_path, capsys, flag, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([[[entry, 0]]]))  # json writes NaN and Infinity, and reads them back
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps([[[1, 0]]]))
+        argv = ["deviation", "--matrix", str(bad)] if flag == "matrix" else ["deviation", "--matrix", str(one), "--basis", str(bad)]
+        with warnings.catch_warnings(record=True) as caught:  # pytest would otherwise keep a warning off stderr
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Warning" not in err
+        assert not caught
 
     def test_matrix_with_explicit_basis(self, tmp_path, capsys):
         mfile = tmp_path / "m.json"

@@ -46,7 +46,7 @@ def test_closures_build_no_fraction():
         AffineTorusMap(((1, 0), (0, 1)), (F(1, 3), F(2, 3))),
     ]
     with _counting_fractions() as count:
-        assert monomial_closure(group.generators, degree=3).order == 432
+        assert monomial_closure(group.generators).order == 432
         conjugacy_class(g, group)
         closure(maps)
     assert count[0] == 0

@@ -130,6 +130,20 @@ class TestGGroup:
                 for n in range(1, 4):
                     assert g_group(m, p, n).order == m**n * math.factorial(n) // p
 
+    @pytest.mark.parametrize(
+        "m, p, n",
+        [(m, p, n) for m in range(1, 7) for p in range(1, m + 1) if m % p == 0 for n in range(1, 5)
+         if g_group_order(m, p, n) <= 20_000],
+    )
+    def test_listing_is_the_closure_of_the_generators(self, m, p, n):
+        # the criterion-10 groups: the listed definition against a closure that knows no formula
+        group = g_group(m, p, n)
+        assert group.order == g_group_order(m, p, n)
+        if not group.generators:  # G(1, 1, 1)
+            assert group.elements == (monomial_identity(n),)
+        else:
+            assert group.elements == monomial_closure(group.generators).elements
+
     def test_phase_product_constraint(self):
         group = g_group(4, 2, 2)
         for g in group.elements:

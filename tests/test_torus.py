@@ -446,6 +446,15 @@ class TestSpectrumTraceOracle:
                 power_sum = sum(cmath.exp(2j * cmath.pi * float(k * r % 1)) for r in values)
                 assert abs(power_sum - _trace_of_power(linear, k)) < 1e-9, (linear, k)
 
+    @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+    def test_age_is_half_the_rank_of_m_minus_i(self, path):
+        # the theorem exceptional_elements rests on: -1 adds 1/2 to the age, a conjugate pair adds 1
+        from reidtai.lattice import _torus_congruence_solver
+
+        for linear in {g.linear for g in _load_action(path).elements}:
+            rank, _ = _torus_congruence_solver(linear)
+            assert cyclotomic_spectrum(linear).age() == Fraction(rank, 2), linear
+
 
 class TestOneDerivationPerStage:
     @pytest.mark.parametrize("path", DEMO_INPUTS, ids=lambda p: p.stem)
@@ -489,11 +498,11 @@ class TestOneDerivationPerStage:
 
     @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
     def test_one_spectrum_per_linear_part(self, path, monkeypatch):
+        """One spectrum for each linear part of age in (0, 1), decided here from its spectrum, and none for the rest."""
         import reidtai.torus as torus
 
         action = _load_action(path)
         calls = []
-        original = torus.cyclotomic_spectrum
-        monkeypatch.setattr(torus, "cyclotomic_spectrum", lambda m: calls.append(m) or original(m))
+        monkeypatch.setattr(torus, "cyclotomic_spectrum", lambda m: calls.append(m) or cyclotomic_spectrum(m))
         exceptional_elements(action)
-        assert sorted(calls) == sorted({g.linear for g in action.elements})
+        assert sorted(calls) == sorted({g.linear for g in action.elements if 0 < cyclotomic_spectrum(g.linear).age() < 1})
