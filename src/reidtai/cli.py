@@ -79,6 +79,8 @@ def _load_action(path: str, cap: int):
     payload = _load_json(path)
     try:
         rank = payload["rank"]
+        if type(rank) is not int:  # true and 1.0 would compare equal to a generator rank of 1
+            raise ValueError(f"rank {rank!r} is not an integer")
         gens = [AffineTorusMap.from_json(g) for g in payload["generators"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad input file {path}: {exc}") from exc

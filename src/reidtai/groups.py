@@ -16,6 +16,10 @@ __all__ = ["GroupTooLargeError", "canonical", "generate"]
 class GroupTooLargeError(RuntimeError):
     """Closure exceeded the configured cap: group too large or infinite."""
 
+    @classmethod
+    def over_cap(cls, cap: int) -> "GroupTooLargeError":
+        return cls(f"group too large or infinite: cap {cap} exceeded")
+
 
 def generate(elements: Iterable, identity, cap: int) -> tuple[list, tuple]:
     """Members of the group generated by the elements, and the elements used.
@@ -40,7 +44,7 @@ def generate(elements: Iterable, identity, cap: int) -> tuple[list, tuple]:
                 if y in seen:
                     continue
                 if len(members) + len(subgroup) > cap:
-                    raise GroupTooLargeError(f"group too large or infinite: cap {cap} exceeded")
+                    raise GroupTooLargeError.over_cap(cap)
                 coset = [h.compose(y) for h in subgroup]
                 members.extend(coset)
                 seen.update(coset)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .roots import RootOfUnity, euler_phi, over_common_modulus
@@ -63,11 +64,11 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
@@ -308,13 +309,12 @@ def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, t
     if len(t) != n:
         raise ValueError("translation length mismatch")
     numerators, d = over_common_modulus([Fraction(v) for v in t])
-    _, solve = _torus_congruence_solver(m)
-    x = solve(numerators, d)
+    x = _torus_congruence_solver(m)(numerators, d)
     return x is not None, x
 
 
 def _torus_congruence_solver(m: IntMatrix):
-    """rank(M - I) and a solver of (M - I) x = -t on R^n/Z^n, from one Smith form of M - I.
+    """A solver of (M - I) x = -t on R^n/Z^n, from one Smith form of M - I.
 
     The solver takes t as integer numerators over one denominator and
     returns one solution in [0, 1)^n, or None when there is none.
@@ -327,14 +327,30 @@ def _torus_congruence_solver(m: IntMatrix):
     scale = math.lcm(*(d for d in diagonal if d))
 
     def solve(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...] | None:
-        c = [-sum(u * k for u, k in zip(row, numerators)) for row in dec.u]
+        c = [-x for x in mat_vec(dec.u, numerators)]
         if any(not d and ci % denominator for d, ci in zip(diagonal, c)):
             return None
         y = [ci * (scale // d) if d else 0 for d, ci in zip(diagonal, c)]
         common = denominator * scale
-        return tuple(Fraction(sum(v * yj for v, yj in zip(row, y)) % common, common) for row in dec.v)
+        return tuple(Fraction(x % common, common) for x in mat_vec(dec.v, y))
 
-    return sum(1 for d in diagonal if d), solve
+    return solve
+
+
+def _is_reflection(m: IntMatrix) -> bool:
+    """Whether M - I has rank 1 (for M of finite order: whether M is a reflection).
+
+    M - I has rank 1 iff it is nonzero and every 2x2 minor through its
+    first nonzero entry (p, q) vanishes, i.e. every row is row p times
+    row[q] / a with a = (M - I)[p][q]; no Smith form is needed.
+    """
+    delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    top = next((row for row in delta if any(row)), None)
+    if top is None:
+        return False
+    q = next(j for j, x in enumerate(top) if x)
+    a = top[q]
+    return all(a * x == row[q] * t for row in delta for x, t in zip(row, top))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, canonical, generate
 from .lattice import (
+    _is_reflection,
     _torus_congruence_solver,
     IntMatrix,
     Sublattice,
@@ -183,9 +184,18 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     n = gens[0].rank
     if any(g.rank != n for g in gens):
         raise ValueError("generators must share a rank")
-    for g in gens:
-        if matrix_order(g.linear) is None:
-            raise ValueError("generator linear part has infinite order")
+    orders = [matrix_order(g.linear) for g in gens]
+    if None in orders:
+        raise ValueError("generator linear part has infinite order")
+    for g, k in zip(gens, orders):
+        # g^k is the translation by t + Mt + ... + M^(k-1)t, so g has order k * (the order of that translation).
+        # A larger order than cap dooms the closure; generate lets a trivial group through whatever the cap.
+        d = g.denominator
+        x = (0,) * n
+        for _ in range(k):
+            x = tuple((y + t) % d for y, t in zip(mat_vec(g.linear, x), g.numerators))
+        if k * (d // math.gcd(d, *x)) > max(cap, 1):
+            raise GroupTooLargeError.over_cap(cap)
     members, _ = generate(gens, affine_identity(n), cap)
     return TorusAction(n, canonical(members, _PARTS), gens)
 
@@ -214,9 +224,9 @@ def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     """
     out = []
     for linear, run in groupby(action.elements, key=lambda g: g.linear):
-        rank, solve = _torus_congruence_solver(linear)
-        if rank != 1:
+        if not _is_reflection(linear):
             continue
+        solve = _torus_congruence_solver(linear)
         spec = cyclotomic_spectrum(linear)
         age = spec.age()
         for g in run:

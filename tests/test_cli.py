@@ -12,12 +12,13 @@ from reidtai.cli import main
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "reidtai.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd or REPO,
+        timeout=timeout,
     )
 
 
@@ -120,6 +121,20 @@ class TestTorusCommands:
             assert captured.out == ""
             assert captured.err.startswith("error: bad input file")
 
+    @pytest.mark.parametrize("rank", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_rank_exit_2(self, rank, tmp_path, capsys):
+        # 1.0 and true compare equal to the generator rank 1
+        bad = tmp_path / "bad_rank.json"
+        bad.write_text(json.dumps({
+            "rank": rank,
+            "generators": [{"matrix": [[-1]], "translation": ["1/2"]}],
+        }))
+        for command in ("filtration", "av-verdict"):
+            assert main([command, str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input file")
+
     @pytest.mark.parametrize("entry", [0.1, True], ids=["float", "bool"])
     def test_non_exact_translation_entry_exit_2(self, entry, tmp_path, capsys):
         # Fraction() alone would read 0.1 as 3602879701896397/36028797018963968 and true as 1
@@ -181,6 +196,18 @@ class TestTorusCommands:
             "generators": [{"matrix": [[1, 1], [0, 1]], "translation": ["0", "0"]}],
         }))
         assert main(["av-verdict", str(bad)]) == 2
+
+    def test_generator_of_order_above_cap_exit_2_at_once(self, tmp_path):
+        # a 3-cycle with translation 1/1000000007 has order 3 * 1000000007; closing it would compose a million elements
+        bad = tmp_path / "runaway.json"
+        bad.write_text(json.dumps({
+            "rank": 3,
+            "generators": [{"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "translation": ["1/1000000007", "0", "0"]}],
+        }))
+        result = run_cli("filtration", str(bad), timeout=10)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: bad input file {bad}: group too large or infinite: cap 1000000 exceeded\n"
 
 
 class TestWitnessRoundTrip:

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidtai.lattice import (
+    _is_reflection,
     charpoly,
     cyclotomic_poly,
     cyclotomic_spectrum,
@@ -14,6 +17,7 @@ from reidtai.lattice import (
     identity,
     mat,
     mat_mul,
+    mat_vec,
     matrix_order,
     saturate,
     snf,
@@ -340,3 +344,95 @@ class TestCharpoly:
             ours = np.array(charpoly(m), dtype=float)
             theirs = np.poly(np.array(m, dtype=float))
             assert np.allclose(ours, theirs, rtol=1e-8, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles: the rank-one test against a Smith form, the products against a triple loop
+# ---------------------------------------------------------------------------
+
+
+def _rank_of_m_minus_i(m):
+    n = len(m)
+    return sum(1 for d in snf(tuple(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))).diagonal if d)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Random matrices (mostly of infinite order), I, and I plus rank-one and rank-two updates."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["random", "identity", "rank one", "rank two"]))
+    if kind == "random":
+        return mat(draw(st.lists(vector, min_size=n, max_size=n)))
+    delta = [[0] * n for _ in range(n)]
+    for _ in range({"identity": 0, "rank one": 1, "rank two": 2}[kind]):
+        u, v = draw(vector), draw(vector)
+        for i in range(n):
+            for j in range(n):
+                delta[i][j] += u[i] * v[j]
+    first = next((x for row in delta for x in row if x), 0)
+    if draw(st.booleans()) and first > 0:  # make the first nonzero entry of M - I negative
+        delta = [[-x for x in row] for row in delta]
+    return mat([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(delta)])
+
+
+class TestIsReflection:
+    def test_examples(self):
+        assert not _is_reflection(identity(3))
+        assert _is_reflection(mat([[-1]]))
+        assert _is_reflection(mat([[0, 1], [1, 0]]))
+        assert _is_reflection(mat([[1, 1], [0, 1]]))  # a transvection: rank one, infinite order
+        assert not _is_reflection(mat([[-1, 0], [0, -1]]))
+        assert not _is_reflection(mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(m=_square_matrices())
+    def test_matches_the_rank_of_a_smith_form(self, m):
+        assert _is_reflection(m) == (_rank_of_m_minus_i(m) == 1)
+
+
+def _naive_mat_mul(a, b):
+    """Row-by-column triple loop; a matrix with no rows has no columns either, as in IntMatrix."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            total = 0
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _naive_mat_vec(a, v):
+    out = []
+    for row in a:
+        total = 0
+        for k in range(len(v)):
+            total += row[k] * v[k]
+        out.append(total)
+    return tuple(out)
+
+
+_HUGE = st.integers(-(10**40), 10**40)  # far past 64 bits, so no fixed-width shortcut can pass
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_HUGE, min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def _product_operands(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(_matrices(r, k)), draw(_matrices(k, c)), draw(st.lists(_HUGE, min_size=k, max_size=k).map(tuple))
+
+
+class TestProductKernels:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(operands=_product_operands())
+    def test_mat_mul_and_mat_vec_match_a_triple_loop(self, operands):
+        a, b, v = operands
+        assert mat_mul(a, b) == _naive_mat_mul(a, b)
+        assert mat_vec(a, v) == _naive_mat_vec(a, v)

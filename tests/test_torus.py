@@ -1,14 +1,16 @@
 import cmath
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reidtai.lattice import cyclotomic_spectrum, identity, mat, mat_mul
+from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul, snf
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
@@ -397,7 +399,8 @@ class TestSerialization:
         assert g.translation == (F(1, 2), F(3, 4))
 
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos" / "inputs"
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = REPO / "demos" / "inputs"
 DEMO_INPUTS = sorted(DEMOS.glob("*.json"))
 TORUSGEN_INPUTS = sorted((Path(__file__).resolve().parent / "inputs").glob("*.json"))
 
@@ -449,11 +452,31 @@ class TestSpectrumTraceOracle:
     @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
     def test_age_is_half_the_rank_of_m_minus_i(self, path):
         # the theorem exceptional_elements rests on: -1 adds 1/2 to the age, a conjugate pair adds 1
-        from reidtai.lattice import _torus_congruence_solver
-
         for linear in {g.linear for g in _load_action(path).elements}:
-            rank, _ = _torus_congruence_solver(linear)
-            assert cyclotomic_spectrum(linear).age() == Fraction(rank, 2), linear
+            assert cyclotomic_spectrum(linear).age() == Fraction(_rank_of_m_minus_i(linear), 2), linear
+
+
+def _rank_of_m_minus_i(m):
+    n = len(m)
+    return sum(1 for d in snf(tuple(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))).diagonal if d)
+
+
+def _torusgen_seed1_inputs(directory, monkeypatch):
+    """The 16 seed-1 inputs of the torus-quotient benchmark, written by `bench/torusgen.py` into directory."""
+    spec = importlib.util.spec_from_file_location("bench_torusgen", REPO / "bench" / "torusgen.py")
+    torusgen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, torusgen)  # its dataclass looks its module up there
+    spec.loader.exec_module(torusgen)
+    return [Path(inp.path) for inp in torusgen.generate(1, directory)]
+
+
+def test_rank_one_test_matches_the_smith_form_on_every_linear_part(tmp_path, monkeypatch):
+    """_is_reflection decides exceptional_elements; check it on every linear part of every shipped input."""
+    paths = DEMO_INPUTS + TORUSGEN_INPUTS + _torusgen_seed1_inputs(tmp_path, monkeypatch)
+    linears = {g.linear for path in paths for g in _load_action(path).elements}
+    assert sum(map(_is_reflection, linears)) > 0
+    for linear in linears:
+        assert _is_reflection(linear) == (_rank_of_m_minus_i(linear) == 1), linear
 
 
 class TestOneDerivationPerStage:
