@@ -177,7 +177,7 @@ class TorusAction:
 
 
 def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> TorusAction:
-    """Group generated by the maps, in canonical order."""
+    """Group generated by the maps, in canonical order; GroupTooLargeError when it has more than cap elements."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -187,15 +187,18 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     orders = [matrix_order(g.linear) for g in gens]
     if None in orders:
         raise ValueError("generator linear part has infinite order")
+    # g^k is the translation by t + Mt + ... + M^(k-1)t, so g has order k * (the order of that translation).
+    # Each generator's order divides the group order (Lagrange), so an lcm above cap dooms the closure;
+    # generate lets a trivial group through whatever the cap.
+    divisor = 1
     for g, k in zip(gens, orders):
-        # g^k is the translation by t + Mt + ... + M^(k-1)t, so g has order k * (the order of that translation).
-        # A larger order than cap dooms the closure; generate lets a trivial group through whatever the cap.
         d = g.denominator
         x = (0,) * n
         for _ in range(k):
             x = tuple((y + t) % d for y, t in zip(mat_vec(g.linear, x), g.numerators))
-        if k * (d // math.gcd(d, *x)) > max(cap, 1):
-            raise GroupTooLargeError.over_cap(cap)
+        divisor = math.lcm(divisor, k * (d // math.gcd(d, *x)))
+    if divisor > max(cap, 1):
+        raise GroupTooLargeError.over_cap(cap)
     members, _ = generate(gens, affine_identity(n), cap)
     return TorusAction(n, canonical(members, _PARTS), gens)
 

@@ -197,13 +197,23 @@ class TestTorusCommands:
         }))
         assert main(["av-verdict", str(bad)]) == 2
 
-    def test_generator_of_order_above_cap_exit_2_at_once(self, tmp_path):
-        # a 3-cycle with translation 1/1000000007 has order 3 * 1000000007; closing it would compose a million elements
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a 3-cycle with translation 1/1000000007 has order 3 * 1000000007
+            {"rank": 3, "generators": [
+                {"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "translation": ["1/1000000007", "0", "0"]}]},
+            # two generators of orders 1009 and 1013, each below the cap; their lcm 1022117 divides the group order
+            {"rank": 2, "generators": [
+                {"matrix": [[1, 0], [0, 1]], "translation": ["1/1009", "0"]},
+                {"matrix": [[1, 0], [0, 1]], "translation": ["0", "1/1013"]}]},
+        ],
+        ids=["one-generator", "lcm-of-two"],
+    )
+    def test_generator_orders_above_cap_exit_2_at_once(self, payload, tmp_path):
+        # closing either group would compose a million elements before the cap stops it
         bad = tmp_path / "runaway.json"
-        bad.write_text(json.dumps({
-            "rank": 3,
-            "generators": [{"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "translation": ["1/1000000007", "0", "0"]}],
-        }))
+        bad.write_text(json.dumps(payload))
         result = run_cli("filtration", str(bad), timeout=10)
         assert result.returncode == 2
         assert result.stdout == ""

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_lattice import _rank_of_m_minus_i
 
-from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul, snf
+from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
@@ -454,11 +455,6 @@ class TestSpectrumTraceOracle:
         # the theorem exceptional_elements rests on: -1 adds 1/2 to the age, a conjugate pair adds 1
         for linear in {g.linear for g in _load_action(path).elements}:
             assert cyclotomic_spectrum(linear).age() == Fraction(_rank_of_m_minus_i(linear), 2), linear
-
-
-def _rank_of_m_minus_i(m):
-    n = len(m)
-    return sum(1 for d in snf(tuple(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))).diagonal if d)
 
 
 def _torusgen_seed1_inputs(directory, monkeypatch):
