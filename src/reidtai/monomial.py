@@ -42,7 +42,7 @@ __all__ = [
 _PARTS = attrgetter("permutation", "phase_numerators", "modulus")  # MonomialElement's parts for groups.canonical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonomialElement:
     """(permutation) * diag(phases): line j is scaled by e(k_j/m), then sent to line perm[j]."""
 
@@ -63,12 +63,11 @@ class MonomialElement:
         object.__setattr__(self, "modulus", m)
 
     @classmethod
-    def _trusted(cls, permutation: tuple[int, ...], numerators: Iterable[int], m: int) -> "MonomialElement":
-        """A product or inverse of valid elements: the permutation and length checks cannot fail."""
+    def _trusted(cls, permutation: tuple[int, ...], numerators: tuple[int, ...], m: int) -> "MonomialElement":
+        """Valid parts, numerators already in [0, m) over the least modulus: no check can fail."""
         g = object.__new__(cls)
-        nums, m = over_least_modulus(numerators, m)
         object.__setattr__(g, "permutation", permutation)
-        object.__setattr__(g, "phase_numerators", nums)
+        object.__setattr__(g, "phase_numerators", numerators)
         object.__setattr__(g, "modulus", m)
         return g
 
@@ -98,15 +97,17 @@ class MonomialElement:
         fb = m // other.modulus
         perm = tuple([sp[p] for p in op])
         nums = [sk[p] * fa + k * fb for p, k in zip(op, other.phase_numerators)]
-        return MonomialElement._trusted(perm, nums, m)
+        return MonomialElement._trusted(perm, *over_least_modulus(nums, m))
 
     def inverse(self) -> "MonomialElement":
         n = self.degree
         inv = [0] * n
         for j, img in enumerate(self.permutation):
             inv[img] = j
-        nums = [-self.phase_numerators[i] for i in inv]
-        return MonomialElement._trusted(tuple(inv), nums, self.modulus)
+        m = self.modulus
+        # -k shares its gcd with m, so the negated numerators stay over the least modulus
+        nums = tuple([-self.phase_numerators[i] % m for i in inv])
+        return MonomialElement._trusted(tuple(inv), nums, m)
 
     def sort_key(self):
         """The canonical order; ``groups.canonical`` sorts a set the same way on ints."""
@@ -156,16 +157,6 @@ def spectrum_of(g: MonomialElement) -> Spectrum:
     return Spectrum(values)
 
 
-def _age_times_2m(g: MonomialElement) -> tuple[int, int]:
-    """age(g) as (numerator, 2m): an l-cycle with phase sum s/m has age s/m + (l-1)/2."""
-    m = g.modulus
-    num = 0
-    for cyc in g.cycles():
-        s = sum(g.phase_numerators[j] for j in cyc) % m
-        num += 2 * s + m * (len(cyc) - 1)
-    return num, 2 * m
-
-
 @dataclass(frozen=True)
 class MonomialGroup:
     degree: int
@@ -202,9 +193,11 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
     """G(m, p, n), listed in canonical order: every permutation, then phases in mu_m with product in mu_{m/p}."""
     if m < 1 or n < 1 or p < 1 or m % p:
         raise ValueError("need m, n >= 1 and p | m")
-    expected = g_group_order(m, p, n)
-    if expected > cap:
-        raise GroupTooLargeError(f"|G({m},{p},{n})| = {expected} exceeds cap {cap}")
+    size = 1  # m^n n! / p > cap iff the running product m^i i! passes cap * p at some i <= n
+    for i in range(1, n + 1):
+        size *= m * i
+        if size > cap * p:
+            raise GroupTooLargeError(f"|G({m},{p},{n})| exceeds cap {cap}")
     gens = []
     ident_perm = tuple(range(n))
     if p < m:
@@ -215,8 +208,8 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(MonomialElement(tuple(perm), (0,) * n, 1))
-    phases = [ks for ks in product(range(m), repeat=n) if sum(ks) % p == 0]
-    elements = tuple(MonomialElement._trusted(s, ks, m) for s in permutations(range(n)) for ks in phases)
+    phases = [over_least_modulus(ks, m) for ks in product(range(m), repeat=n) if sum(ks) % p == 0]
+    elements = tuple(MonomialElement._trusted(s, *ks) for s in permutations(range(n)) for ks in phases)
     return MonomialGroup(n, elements, tuple(gens))
 
 
@@ -320,10 +313,16 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropP
             raise ValueError("reflection projection only applies to phase-free (symmetric) groups")
         if group.degree < 2:
             raise ValueError("reflection representation needs degree >= 2")
+    # age(g) = sum over its l-cycles with phase sum s/m of s/m + (l-1)/2; the cycles depend on the permutation only.
+    cycles: dict[tuple[int, ...], list[list[int]]] = {}
     exceptional = []
     for g in group.elements:
-        num, den = _age_times_2m(g)
-        if 0 < num < den:
+        cyc = cycles.get(g.permutation)
+        if cyc is None:
+            cyc = cycles[g.permutation] = g.cycles()
+        m, k = g.modulus, g.phase_numerators
+        twice_age_times_m = sum(2 * (sum(k[j] for j in c) % m) + m * (len(c) - 1) for c in cyc)
+        if 0 < twice_age_times_m < 2 * m:
             exceptional.append(g)
     entries = []
     assigned: set[MonomialElement] = set()
@@ -333,7 +332,10 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropP
             continue
         cls = conjugacy_class(g, group)
         assigned.update(cls)
-        closure_order = len(generate(cls, identity, group.order)[0])
+        try:  # a subgroup with more than half the elements is the whole group (Lagrange)
+            closure_order = len(generate(cls, identity, group.order // 2)[0])
+        except GroupTooLargeError:
+            closure_order = group.order
         spec = _reported_spectrum(cls[0], reflection_rep)
         entries.append(
             ExceptionalClassEntry(

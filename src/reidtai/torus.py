@@ -187,16 +187,23 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     orders = [matrix_order(g.linear) for g in gens]
     if None in orders:
         raise ValueError("generator linear part has infinite order")
-    # g^k is the translation by t + Mt + ... + M^(k-1)t, so g has order k * (the order of that translation).
-    # Each generator's order divides the group order (Lagrange), so an lcm above cap dooms the closure;
-    # generate lets a trivial group through whatever the cap.
+    # g^k is the translation by x/d = (t + Mt + ... + M^(k-1)t)/d, so g has order k * (the order of x/d).
+    # The translations x/d generate the subgroup (L + D Z^n) / D Z^n, L the row lattice of the numerators
+    # over a common denominator D; with L's Smith diagonal e_i its order is the product of D / gcd(D, e_i).
+    # Each generator's order and that subgroup's order divide the group order (Lagrange), so a divisor
+    # above cap dooms the closure; generate lets a trivial group through whatever the cap.
     divisor = 1
+    translations = []
     for g, k in zip(gens, orders):
         d = g.denominator
         x = (0,) * n
         for _ in range(k):
             x = tuple((y + t) % d for y, t in zip(mat_vec(g.linear, x), g.numerators))
         divisor = math.lcm(divisor, k * (d // math.gcd(d, *x)))
+        translations.append((x, d))
+    common = math.lcm(*(d for _, d in translations))
+    rows = [[y * (common // d) for y in x] for x, d in translations]
+    divisor = math.lcm(divisor, math.prod(common // math.gcd(common, e) for e in snf(rows).diagonal))
     if divisor > max(cap, 1):
         raise GroupTooLargeError.over_cap(cap)
     members, _ = generate(gens, affine_identity(n), cap)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -207,8 +208,12 @@ class TestTorusCommands:
             {"rank": 2, "generators": [
                 {"matrix": [[1, 0], [0, 1]], "translation": ["1/1009", "0"]},
                 {"matrix": [[1, 0], [0, 1]], "translation": ["0", "1/1013"]}]},
+            # two generators of order 1009 whose translations generate 1009^2 elements
+            {"rank": 2, "generators": [
+                {"matrix": [[1, 0], [0, 1]], "translation": ["1/1009", "0"]},
+                {"matrix": [[1, 0], [0, 1]], "translation": ["0", "1/1009"]}]},
         ],
-        ids=["one-generator", "lcm-of-two"],
+        ids=["one-generator", "lcm-of-two", "translations-of-two"],
     )
     def test_generator_orders_above_cap_exit_2_at_once(self, payload, tmp_path):
         # closing either group would compose a million elements before the cap stops it
@@ -642,6 +647,16 @@ class TestMonomialCommand:
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("n", [5000, 1_000_000])
+    def test_cap_overflow_of_a_huge_group_exit_2_at_once(self, n, capsys):
+        # |G(1,1,n)| = n! is never computed: the running product passes the cap at 10!
+        start = time.perf_counter()
+        assert main(["monomial-check", "--m", "1", "--p", "1", "--n", str(n)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: |G(1,1,{n})| exceeds cap 1000000\n"
 
     def test_monomial_check(self, capsys):
         assert main(["--format", "json", "monomial-check", "--m", "2", "--p", "1", "--n", "3"]) == 0

@@ -154,6 +154,13 @@ class TestGGroup:
         with pytest.raises(GroupTooLargeError):
             g_group(6, 1, 4, cap=100)
 
+    @pytest.mark.parametrize("m, p, n", [(2, 1, 3), (4, 2, 3), (6, 6, 2), (1, 1, 5)])
+    def test_cap_is_inclusive(self, m, p, n):
+        order = g_group_order(m, p, n)
+        assert g_group(m, p, n, cap=order).order == order
+        with pytest.raises(GroupTooLargeError, match=rf"^\|G\({m},{p},{n}\)\| exceeds cap {order - 1}$"):
+            g_group(m, p, n, cap=order - 1)
+
     def test_closure_of_infinite_set_capped(self):
         # not a finite-order generator set for the closure cap path
         with pytest.raises(GroupTooLargeError):
@@ -221,9 +228,11 @@ class TestPropProd:
         assert report.entries == () and report.violations == ()
 
     @pytest.mark.parametrize(
-        "m, p, n", [(1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 3, 2), (4, 2, 2)]
+        "m, p, n",
+        [(1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 3, 2), (4, 2, 2), (5, 1, 3), (6, 2, 3)],
     )
     def test_closure_orders_match_normal_closure(self, m, p, n):
+        # (5,1,3) and (6,2,3) have classes of closure index 1, stopped at half the group, and of larger index
         group = g_group(m, p, n)
         report = prop_prod_check(group)
         assert report.entries

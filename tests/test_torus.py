@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_lattice import _rank_of_m_minus_i
 
 from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul
@@ -121,6 +123,35 @@ class TestClosure:
     def test_cap(self):
         with pytest.raises(GroupTooLargeError):
             closure([amap(identity(1), ("1/1000",))], cap=100)
+
+    def test_translation_subgroup_above_cap_raises_before_composing(self, monkeypatch):
+        # each generator has order 31, but together they generate the 961 translations by (i/31, j/31)
+        gens = [amap(identity(2), ("1/31", 0)), amap(identity(2), (0, "1/31"))]
+        calls = []
+        original = AffineTorusMap.compose
+        monkeypatch.setattr(AffineTorusMap, "compose", lambda a, b: calls.append(1) or original(a, b))
+        with pytest.raises(GroupTooLargeError, match="cap 960 exceeded"):
+            closure(gens, cap=960)
+        assert calls == []
+        assert closure(gens, cap=961).order == 961
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_closure_at_a_cap_equal_to_the_order(self, data):
+        """What closure bounds before composing (generator orders, translation subgroup) divides the group order."""
+        n = data.draw(st.integers(1, 3))
+        cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+        flip = [[-int(i == j == 0) or int(i == j) for j in range(n)] for i in range(n)]
+        linears = [identity(n), [[-int(i == j) for j in range(n)] for i in range(n)], cycle, flip]
+        fractions = st.builds(F, st.integers(0, 11), st.integers(1, 4))
+        gens = data.draw(st.lists(
+            st.builds(amap, st.sampled_from(linears), st.lists(fractions, min_size=n, max_size=n)),
+            min_size=1, max_size=3))
+        action = closure(gens)
+        assert closure(gens, cap=action.order).elements == action.elements
+        if action.order > 1:
+            with pytest.raises(GroupTooLargeError):
+                closure(gens, cap=action.order - 1)
 
     def test_closed_under_composition_and_inverse(self):
         action = s3_pm1()
