@@ -193,16 +193,15 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     # Each generator's order and that subgroup's order divide the group order (Lagrange), so a divisor
     # above cap dooms the closure; generate lets a trivial group through whatever the cap.
     divisor = 1
-    translations = []
+    common = math.lcm(*(g.denominator for g in gens))
+    rows = []
     for g, k in zip(gens, orders):
         d = g.denominator
         x = (0,) * n
         for _ in range(k):
             x = tuple((y + t) % d for y, t in zip(mat_vec(g.linear, x), g.numerators))
         divisor = math.lcm(divisor, k * (d // math.gcd(d, *x)))
-        translations.append((x, d))
-    common = math.lcm(*(d for _, d in translations))
-    rows = [[y * (common // d) for y in x] for x, d in translations]
+        rows.append([y * (common // d) for y in x])
     divisor = math.lcm(divisor, math.prod(common // math.gcd(common, e) for e in snf(rows).diagonal))
     if divisor > max(cap, 1):
         raise GroupTooLargeError.over_cap(cap)
