@@ -9,7 +9,6 @@ theorem in exact arithmetic; floating point only absorbs rounding, with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
@@ -17,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .monomial import MonomialGroup, MonomialElement
+from .records import Record
 from .spectra import Spectrum
 
 __all__ = [
@@ -55,8 +55,7 @@ def _check_unitary(t, what: str = "operator") -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(Record):
     label: str
     per_vector: tuple[float, ...]
     total: float
@@ -89,8 +88,7 @@ def eigenbasis_deviation(s: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductBoundReport:
+class ProductBoundReport(Record):
     n_factors: int
     dimension: int
     thresholds: tuple[float, ...]
@@ -200,8 +198,7 @@ def monomial_matrix(g: MonomialElement) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class InvariantDimensionReport:
+class InvariantDimensionReport(Record):
     dimension: int
     average: float
     witness_index: int | None  # an element with Re tr <= 0 when dimension is 0
@@ -238,8 +235,7 @@ def invariant_dimension(group) -> InvariantDimensionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorPermTraceReport:
+class TensorPermTraceReport(Record):
     n_factors: int
     dimension: int
     cyclic_trace: complex
@@ -290,8 +286,7 @@ def tensor_perm_trace_check(ts: Sequence) -> TensorPermTraceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtraspecialRecord:
+class ExtraspecialRecord(Record):
     p: int
     n_exp: int
     m: int

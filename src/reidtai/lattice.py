@@ -13,12 +13,12 @@ the characteristic polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
+from .records import Record
 from .roots import RootOfUnity, euler_phi, over_common_modulus
 from .spectra import Spectrum
 
@@ -130,8 +130,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return h, uu
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U*M*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... >= 0."""
 
     u: IntMatrix
@@ -247,8 +246,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """A sublattice of Z^n, canonically represented by its HNF basis rows."""
 
     ambient_rank: int

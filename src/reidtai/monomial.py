@@ -11,13 +11,13 @@ e((s + j)/l) for j = 0..l-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, canonical, generate
+from .records import Record
 from .roots import RootOfUnity, over_common_modulus, over_least_modulus
 from .spectra import Spectrum
 
@@ -42,25 +42,48 @@ __all__ = [
 _PARTS = attrgetter("permutation", "phase_numerators", "modulus")  # MonomialElement's parts for groups.canonical
 
 
-@dataclass(frozen=True, slots=True)
 class MonomialElement:
-    """(permutation) * diag(phases): line j is scaled by e(k_j/m), then sent to line perm[j]."""
+    """(permutation) * diag(phases): line j is scaled by e(k_j/m), then sent to line perm[j].
 
-    permutation: tuple[int, ...]
-    phase_numerators: tuple[int, ...]
-    modulus: int
+    Immutable and hashable, with structural equality on the three parts.
+    """
 
-    def __post_init__(self):
-        n = len(self.permutation)
-        if sorted(self.permutation) != list(range(n)):
+    __slots__ = ("permutation", "phase_numerators", "modulus")
+
+    def __init__(self, permutation: tuple[int, ...], phase_numerators: tuple[int, ...], modulus: int):
+        n = len(permutation)
+        if sorted(permutation) != list(range(n)):
             raise ValueError("permutation must be a bijection of 0..n-1")
-        if len(self.phase_numerators) != n:
+        if len(phase_numerators) != n:
             raise ValueError("phase vector length mismatch")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        nums, m = over_least_modulus(self.phase_numerators, self.modulus)
+        nums, m = over_least_modulus(phase_numerators, modulus)
+        object.__setattr__(self, "permutation", permutation)
         object.__setattr__(self, "phase_numerators", nums)
         object.__setattr__(self, "modulus", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MonomialElement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.permutation, self.phase_numerators, self.modulus) == (
+                other.permutation, other.phase_numerators, other.modulus
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.permutation, self.phase_numerators, self.modulus))
+
+    def __repr__(self):
+        return (
+            f"MonomialElement(permutation={self.permutation!r}, phase_numerators={self.phase_numerators!r}, "
+            f"modulus={self.modulus!r})"
+        )
 
     @classmethod
     def _trusted(cls, permutation: tuple[int, ...], numerators: tuple[int, ...], m: int) -> "MonomialElement":
@@ -157,15 +180,14 @@ def spectrum_of(g: MonomialElement) -> Spectrum:
     return Spectrum(values)
 
 
-@dataclass(frozen=True)
-class MonomialGroup:
+class MonomialGroup(Record):
     degree: int
     elements: tuple[MonomialElement, ...]
     generators: tuple[MonomialElement, ...]
-    _members: frozenset[MonomialElement] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    def __init__(self, degree: int, elements: tuple[MonomialElement, ...], generators: tuple[MonomialElement, ...]):
+        super().__init__(degree, elements, generators)
+        object.__setattr__(self, "_members", frozenset(elements))  # for membership; not a field
 
     @property
     def order(self) -> int:
@@ -248,8 +270,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionalClassEntry:
+class ExceptionalClassEntry(Record):
     representative: MonomialElement
     class_size: int
     age: Fraction
@@ -272,8 +293,7 @@ class ExceptionalClassEntry:
         }
 
 
-@dataclass(frozen=True)
-class PropProdReport:
+class PropProdReport(Record):
     degree: int
     group_order: int
     reflection_rep: bool
@@ -363,8 +383,7 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropP
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(Record):
     label: str
     swap_value: RootOfUnity
     extra: RootOfUnity | None

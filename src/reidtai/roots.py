@@ -11,10 +11,11 @@ arithmetic; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .records import Record
 
 __all__ = [
     "RootOfUnity",
@@ -105,8 +106,7 @@ def euler_phi(d: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class UnitClasses:
+class UnitClasses(Record):
     """Units modulo d grouped into complex-conjugation pairs {u, d-u}.
 
     A self-paired unit (u == d-u, which happens only for d = 2) is stored

@@ -26,11 +26,11 @@ witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION
+from .records import Record
 from .roots import RootOfUnity, over_common_modulus, unit_classes
 from .spectra import Spectrum
 
@@ -100,8 +100,7 @@ REFERENCE_TRIPLE: tuple[RootOfUnity, ...] = dict(REFERENCE_MULTISETS)["n"]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(Record):
     """Diff of a computed set against its published reference set.
 
     ``extras`` pairs each surplus item with a witness dict that
@@ -162,8 +161,7 @@ def min_halforbit_sum(d: int) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(sum(reps), d), reps
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(Record):
     n: int
     half_count: int
     values: tuple[RootOfUnity, ...]
@@ -208,8 +206,7 @@ def feasible_orders(d_max: int = 372) -> tuple[tuple[int, ...], ConformanceRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     """A conjugation class of distinct Galois-twist multisets."""
 
     members: tuple[tuple[RootOfUnity, ...], ...]
@@ -224,8 +221,7 @@ class OrbitClass:
         }
 
 
-@dataclass(frozen=True)
-class AvOrbitResult:
+class AvOrbitResult(Record):
     total: Fraction
     feasible: bool
     classes: tuple[OrbitClass, ...]
@@ -283,8 +279,7 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaWitness:
+class SigmaWitness(Record):
     """A Galois section: chosen unit residues covering every conjugate pair."""
 
     modulus: int
@@ -342,8 +337,7 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     return Fraction(best_sum, modulus), witness, values
 
 
-@dataclass(frozen=True)
-class PairDecision:
+class PairDecision(Record):
     pair: tuple[RootOfUnity, RootOfUnity]
     mode: str
     feasible: bool
@@ -389,8 +383,7 @@ def pair_feasible(a: int, b: int, f: int, mode: str = MODE_VALUE_UNION) -> PairD
     return _decide_pair(alpha, beta, mode)
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(Record):
     values: tuple[RootOfUnity, RootOfUnity]
     witness: SigmaWitness | None
     minimal_sum: Fraction
@@ -466,7 +459,8 @@ def classify_pairs(
             # The orbit-sets result is the same for every member; a
             # value-union witness names the member's own section.
             if mode == MODE_ORBIT_SETS:
-                decisions[i] = replace(decision, pair=pair(i))
+                orbit = decision.orbit
+                decisions[i] = PairDecision(pair(i), mode, orbit.feasible, orbit.total, orbit=orbit)
             else:
                 decisions[i] = _decide_pair(*pair(i), mode)
     classes = tuple(PairClass(d.pair, d.witness, d.minimal_sum, d) for _, d in sorted(decisions.items()))
@@ -482,12 +476,11 @@ def classify_pairs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultisetEnumeration:
+class MultisetEnumeration(Record):
     mode: str
     multisets: tuple[Spectrum, ...]
     conformance: ConformanceReport
-    refutations: tuple[tuple[Spectrum, Fraction], ...] = field(default=())
+    refutations: tuple[tuple[Spectrum, Fraction], ...] = ()
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,6 @@ connected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -39,6 +38,7 @@ from .lattice import (
     unimodular_inverse,
     zero_sublattice,
 )
+from .records import Record
 from .roots import over_common_modulus, over_least_modulus
 from .spectra import Spectrum
 
@@ -68,18 +68,15 @@ RATIONALLY_CONNECTED = "RationallyConnected"
 _PARTS = attrgetter("linear", "numerators", "denominator")  # AffineTorusMap's parts for groups.canonical
 
 
-@dataclass(frozen=True, init=False)
 class AffineTorusMap:
     """x -> (linear)x + translation on R^n/Z^n; translations live in [0,1)^n.
 
     The translation is stored as integer numerators in [0, denominator)
     over the least common denominator, so structural equality is
-    mathematical equality.
+    mathematical equality.  Immutable and hashable.
     """
 
-    linear: IntMatrix
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("linear", "numerators", "denominator")
 
     def __init__(self, linear: IntMatrix, translation: Sequence):
         linear = mat(linear)
@@ -103,6 +100,28 @@ class AffineTorusMap:
         object.__setattr__(g, "numerators", nums)
         object.__setattr__(g, "denominator", d)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffineTorusMap is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AffineTorusMap is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.linear, self.numerators, self.denominator) == (
+                other.linear, other.numerators, other.denominator
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.linear, self.numerators, self.denominator))
+
+    def __repr__(self):
+        return (
+            f"AffineTorusMap(linear={self.linear!r}, numerators={self.numerators!r}, "
+            f"denominator={self.denominator!r})"
+        )
 
     @property
     def translation(self) -> tuple[Fraction, ...]:
@@ -163,8 +182,7 @@ def affine_identity(n: int) -> AffineTorusMap:
     return AffineTorusMap._trusted(identity(n), (0,) * n, 1)
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(Record):
     """A closed finite group of affine torus maps, canonically ordered."""
 
     rank: int
@@ -209,8 +227,7 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     return TorusAction(n, canonical(members, _PARTS), gens)
 
 
-@dataclass(frozen=True)
-class ExceptionalElement:
+class ExceptionalElement(Record):
     element: AffineTorusMap
     spectrum: Spectrum
     age: Fraction
@@ -304,8 +321,7 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
     return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Record):
     rank: int
     exceptional: tuple[ExceptionalElement, ...]
     rt_generators: tuple[AffineTorusMap, ...]
@@ -379,8 +395,7 @@ def verdict(action: TorusAction) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleAvScreenReport:
+class SimpleAvScreenReport(Record):
     dim: int
     survivors: dict[int, Fraction]
     extra_survivors: dict[int, Fraction]

@@ -345,8 +345,6 @@ class TestWitnessRoundTrip:
     def test_orbit_witness_checked_independently(self, command, tmp_path, monkeypatch, capsys):
         # The verifier must not trust the routine that made the witness: a
         # search whose orbit totals are all off by 1/M emits witnesses that fail.
-        import dataclasses
-
         import reidtai.search as search
 
         original = search.av_orbit_feasibility
@@ -354,7 +352,7 @@ class TestWitnessRoundTrip:
         def off_by_one_step(values):
             result = original(values)
             total = result.total + Fraction(1, result.modulus)
-            return dataclasses.replace(result, total=total, feasible=0 < total < 1)
+            return search.AvOrbitResult(total, 0 < total < 1, result.classes, result.modulus)
 
         monkeypatch.setattr(search, "av_orbit_feasibility", off_by_one_step)
         monkeypatch.setattr("reidtai.cli.av_orbit_feasibility", off_by_one_step, raising=False)

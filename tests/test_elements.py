@@ -9,6 +9,7 @@ trusted product constructors to the validating public ones.
 import contextlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,3 +205,42 @@ def test_torus_trusted_products_equal_validated(gens, data):
         assert rebuilt.numerators == r.numerators and rebuilt.denominator == r.denominator
     assert a.compose(b) == _torus_product_oracle(a, b)
     assert a.compose(a.inverse()) == AffineTorusMap(identity(a.rank), (0,) * a.rank)
+
+
+# ---------------------------------------------------------------------------
+# Hand-slotted elements: equal parts are equal values, and nothing can be set
+# ---------------------------------------------------------------------------
+
+
+def _assert_slotted_and_frozen(g):
+    assert not hasattr(g, "__dict__")
+    for name in (*type(g).__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+
+
+def test_monomial_element_equality_is_on_its_parts():
+    trusted = MonomialElement._trusted((1, 0, 2), (1, 0, 3), 4)
+    checked = MonomialElement((1, 0, 2), (2, 8, -2), 8)  # reduces to (1, 0, 3) over 4
+    assert trusted == checked and hash(trusted) == hash(checked) == hash(((1, 0, 2), (1, 0, 3), 4))
+    assert trusted != MonomialElement((1, 0, 2), (1, 0, 1), 4) and trusted != MonomialElement((0, 1, 2), (1, 0, 3), 4)
+    assert trusted.__eq__(((1, 0, 2), (1, 0, 3), 4)) is NotImplemented
+    assert repr(checked) == "MonomialElement(permutation=(1, 0, 2), phase_numerators=(1, 0, 3), modulus=4)"
+    _assert_slotted_and_frozen(trusted)
+    _assert_slotted_and_frozen(checked)
+    assert checked == trusted
+
+
+def test_affine_torus_map_equality_is_on_its_parts():
+    swap = ((0, 1), (1, 0))
+    trusted = AffineTorusMap._trusted(swap, (2, 4), 8)  # reduces to (1, 2) over 4
+    checked = AffineTorusMap(swap, (F(5, 4), "-1/2"))
+    assert trusted == checked and hash(trusted) == hash(checked) == hash((swap, (1, 2), 4))
+    assert trusted != AffineTorusMap(swap, (F(1, 4), 0)) and trusted != AffineTorusMap(identity(2), (F(1, 4), F(1, 2)))
+    assert trusted.__eq__((swap, (1, 2), 4)) is NotImplemented
+    assert repr(checked) == "AffineTorusMap(linear=((0, 1), (1, 0)), numerators=(1, 2), denominator=4)"
+    _assert_slotted_and_frozen(trusted)
+    _assert_slotted_and_frozen(checked)
+    assert checked == trusted

@@ -83,7 +83,8 @@ class TestCliEngineNames:
         assert not hasattr(reidtai.cli, "no_such_name")
 
 
-# Run one command in a fresh interpreter and report the reidtai and numpy modules it loaded.
+# Run one command in a fresh interpreter and report the reidtai modules it loaded, and numpy, dataclasses and inspect
+# when it loaded them.
 PROBE = """
 import contextlib, io, json, sys
 from reidtai.cli import main
@@ -92,10 +93,13 @@ rc = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
-print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m == "numpy" or m.startswith("reidtai."))}))
+watched = ("numpy", "dataclasses", "inspect")
+print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m in watched or m.startswith("reidtai."))}))
 """
 
 SEARCH_ONLY = ("deviation", "golden", "monomial", "torus", "lattice")
+# Start-up cost that no engine command pays: the report records and group elements are plain classes.
+STDLIB_NOT_LOADED = {"dataclasses", "inspect"}
 
 
 def loaded_modules(*argv: str) -> set[str]:
@@ -125,6 +129,7 @@ def test_command_loads_only_its_engine(argv, absent):
     modules = loaded_modules(*argv)
     assert "numpy" not in modules
     assert modules.isdisjoint(f"reidtai.{name}" for name in absent)
+    assert modules.isdisjoint(STDLIB_NOT_LOADED)
 
 
 def test_verify_witness_loads_no_engine(tmp_path):
@@ -132,6 +137,7 @@ def test_verify_witness_loads_no_engine(tmp_path):
     wfile.write_text(json.dumps({"kind": "order", "d": 9, "representatives": [1, 2, 4], "sum": "7/9"}))
     modules = loaded_modules("verify-witness", str(wfile))
     assert "reidtai.witness" in modules and "numpy" not in modules
+    assert modules.isdisjoint(STDLIB_NOT_LOADED)
     engines = ("search", "spectra", "roots", "lattice", "monomial", "torus", "deviation", "golden")
     assert modules.isdisjoint(f"reidtai.{name}" for name in engines)
 

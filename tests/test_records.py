@@ -1,0 +1,212 @@
+"""The report records against frozen dataclass twins.
+
+Every report class derives from ``reidtai.records.Record`` instead of being a
+``@dataclass(frozen=True)``.  Each twin below is made by
+``dataclasses.make_dataclass`` from the class's own annotations and default
+class attributes, the same class body the decorator used to read, and the two
+must agree on repr, equality, hashing, construction and immutability.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from reidtai import deviation, lattice, monomial, roots, search, torus
+from reidtai.lattice import sublattice_from_rows
+from reidtai.monomial import MonomialGroup, g_group
+from reidtai.records import Record
+from reidtai.roots import unit_classes
+from reidtai.search import MODE_ORBIT_SETS, MODE_VALUE_UNION, PairDecision, enumerate_exceptional_multisets
+from reidtai.torus import AffineTorusMap, closure, exceptional_elements
+
+RECORDS = sorted(
+    (
+        cls
+        for module in (roots, lattice, search, monomial, torus, deviation)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == module.__name__
+    ),
+    key=lambda cls: (cls.__module__, cls.__qualname__),
+)
+IDS = [cls.__qualname__ for cls in RECORDS]
+
+
+def _members_post_init(self):
+    object.__setattr__(self, "_members", frozenset(self.elements))
+
+
+def twin_of(cls: type) -> type:
+    """The frozen dataclass the class body would make; MonomialGroup keeps its derived member set."""
+    specs = []
+    for name in cls.__dict__["__annotations__"]:
+        if name in cls.__dict__:
+            specs.append((name, object, dataclasses.field(default=cls.__dict__[name])))
+        else:
+            specs.append((name, object))
+    namespace = {}
+    if cls is MonomialGroup:
+        specs.append(("_members", object, dataclasses.field(init=False, repr=False, compare=False)))
+        namespace["__post_init__"] = _members_post_init
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True, namespace=namespace)
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the TypeError it raises (an unhashable field)."""
+    try:
+        return f(*args)
+    except TypeError:
+        return TypeError
+
+
+def assert_matches_twin(record: Record) -> None:
+    cls = type(record)
+    values = {name: getattr(record, name) for name in cls._fields}
+    twin = twin_of(cls)(**values)
+    assert repr(record) == repr(twin)
+    assert _outcome(hash, record) == _outcome(hash, twin)
+    assert record == cls(**values) and twin == type(twin)(**values)
+    assert record != twin and twin != record
+
+
+def test_every_report_class_is_a_record():
+    assert len(RECORDS) == 24
+    assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
+    assert not dataclasses.is_dataclass(monomial.MonomialElement) and not dataclasses.is_dataclass(AffineTorusMap)
+
+
+# ---------------------------------------------------------------------------
+# Every record class on placeholder field values
+# ---------------------------------------------------------------------------
+
+
+def _placeholders(cls: type, tag: str = "v") -> list:
+    return [(i, f"{tag}{i}") for i in range(len(cls._fields))]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_repr_equality_and_hash_match_the_twin(cls):
+    twin_cls = twin_of(cls)
+    values = _placeholders(cls)
+    record, twin = cls(*values), twin_cls(*values)
+    assert cls._fields == tuple(f.name for f in dataclasses.fields(twin_cls) if f.init)
+    assert repr(record) == repr(twin)
+    assert record == cls(*values) and twin == twin_cls(*values)
+    assert hash(record) == hash(twin) == hash(cls(*values))
+    changed = values[:-1] + [(-1, "changed")]
+    assert record != cls(*changed) and twin != twin_cls(*changed)
+    # another class with equal fields: __eq__ gives NotImplemented, so == falls back to identity
+    other = type(cls.__name__, (Record,), {"__annotations__": dict(cls.__dict__["__annotations__"])})
+    assert record.__eq__(other(*values)) is NotImplemented
+    assert record != other(*values) and twin != twin_of(cls)(*values) and record != twin
+    assert record.__eq__(values) is NotImplemented and twin.__eq__(values) is NotImplemented
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_keyword_construction_and_defaults_match_the_twin(cls):
+    twin_cls = twin_of(cls)
+    values = _placeholders(cls)
+    kwargs = dict(zip(cls._fields, values))
+    assert cls(**kwargs) == cls(*values)
+    assert repr(cls(**kwargs)) == repr(twin_cls(**kwargs))
+    split = len(values) // 2
+    assert cls(*values[:split], **dict(list(kwargs.items())[split:])) == cls(*values)
+    required = [name for name in cls._fields if name not in cls.__dict__]
+    assert repr(cls(*values[: len(required)])) == repr(twin_cls(*values[: len(required)]))
+    if required:
+        with pytest.raises(TypeError):
+            twin_cls(*values[: len(required) - 1])
+        with pytest.raises(TypeError):
+            cls(*values[: len(required) - 1])
+    for bad_args, bad_kwargs in [
+        (values + [0], {}),
+        (values, {cls._fields[0]: 0}),
+        (values, {"no_such_field": 0}),
+    ]:
+        with pytest.raises(TypeError):
+            twin_cls(*bad_args, **bad_kwargs)
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_assignment_and_deletion_raise_attribute_error(cls):
+    values = _placeholders(cls)
+    record, twin = cls(*values), twin_of(cls)(*values)
+    for obj in (record, twin):
+        for name in (cls._fields[0], cls._fields[-1], "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert record == cls(*values)
+
+
+def test_defaults_are_the_class_attributes():
+    assert (PairDecision.witness, PairDecision.values, PairDecision.orbit) == (None, None, None)
+    assert search.MultisetEnumeration.refutations == ()
+    with_defaults = {cls.__qualname__ for cls in RECORDS if any(name in cls.__dict__ for name in cls._fields)}
+    assert with_defaults == {"PairDecision", "MultisetEnumeration"}
+
+
+# ---------------------------------------------------------------------------
+# Records as the engines build them
+# ---------------------------------------------------------------------------
+
+
+def test_pair_decisions_with_and_without_defaults():
+    value_union = search.pair_feasible(1, 2, 6, MODE_VALUE_UNION)
+    assert value_union.witness is not None and value_union.orbit is None
+    orbit_sets = search.pair_feasible(1, 2, 6, MODE_ORBIT_SETS)
+    assert orbit_sets.witness is None and orbit_sets.values is None and orbit_sets.orbit is not None
+    bare = PairDecision(value_union.pair, MODE_VALUE_UNION, True, Fraction(1, 2))
+    for decision in (value_union, orbit_sets, bare):
+        assert_matches_twin(decision)
+    assert bare == PairDecision(value_union.pair, MODE_VALUE_UNION, True, Fraction(1, 2), None, None, None)
+    assert "witness=None, values=None, orbit=None" in repr(bare)
+
+
+def test_multiset_enumeration():
+    enumeration = enumerate_exceptional_multisets(MODE_VALUE_UNION, f_max=12)
+    assert enumeration.refutations == ()
+    assert_matches_twin(enumeration)
+    assert_matches_twin(enumeration.conformance)
+    refuted = enumerate_exceptional_multisets(MODE_ORBIT_SETS, f_max=12)
+    assert refuted.refutations
+    assert_matches_twin(refuted)
+
+
+def test_unit_classes_and_sublattice():
+    classes = unit_classes(12)
+    assert repr(classes) == "UnitClasses(modulus=12, units=(1, 5, 7, 11), pairs=((1, 11), (5, 7)))"
+    assert_matches_twin(classes)
+    sub = sublattice_from_rows(3, [(2, 0, 0), (0, 4, 2)])
+    assert_matches_twin(sub)
+    assert sub == sublattice_from_rows(3, [(0, 4, 2), (2, 4, 2)]) and hash(sub) == hash((3, sub.basis))
+    assert_matches_twin(lattice.snf(((2, 4), (6, 8))))
+
+
+def test_exceptional_elements_and_their_reports():
+    swap = AffineTorusMap(((0, 1), (1, 0)), (0, 0))
+    half = AffineTorusMap(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1, 2)))
+    action = closure([swap, half])
+    exc = exceptional_elements(action)
+    assert exc
+    for e in exc:
+        assert_matches_twin(e)
+    assert_matches_twin(action)
+    assert_matches_twin(torus.filtration(action))
+
+
+def test_monomial_group_members_are_not_a_field():
+    group = g_group(2, 1, 2)
+    assert "_members" not in repr(group) and "_members" not in group._fields
+    assert_matches_twin(group)
+    same = MonomialGroup(group.degree, group.elements, group.generators)
+    object.__setattr__(same, "_members", frozenset())  # compare=False: the member set takes no part in ==
+    assert same == group and hash(same) == hash(group)
+    assert group.generators[0] in group and group.generators[0] not in same
+    report = monomial.prop_prod_check(group)
+    assert_matches_twin(report)
+    for entry in report.entries:
+        assert_matches_twin(entry)
