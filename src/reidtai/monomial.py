@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -181,20 +181,52 @@ def spectrum_of(g: MonomialElement) -> Spectrum:
 
 
 class MonomialGroup(Record):
+    """A finite monomial group: its degree, its elements in canonical order and generators.
+
+    A G(m, p, n) from ``g_group`` answers ``order`` and membership from its
+    parameters and lists its elements only when they are first read.
+    """
+
     degree: int
     elements: tuple[MonomialElement, ...]
     generators: tuple[MonomialElement, ...]
+    _parameters = None  # (m, p) of a G(m, p, n) from g_group; not a field
 
     def __init__(self, degree: int, elements: tuple[MonomialElement, ...], generators: tuple[MonomialElement, ...]):
         super().__init__(degree, elements, generators)
         object.__setattr__(self, "_members", frozenset(elements))  # for membership; not a field
 
+    @classmethod
+    def _parametric(cls, m: int, p: int, n: int, generators: tuple[MonomialElement, ...]) -> "MonomialGroup":
+        group = object.__new__(cls)
+        object.__setattr__(group, "degree", n)
+        object.__setattr__(group, "generators", generators)
+        object.__setattr__(group, "_parameters", (m, p))
+        return group
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: a G(m, p, n) lists its elements on the first read
+        if name not in ("elements", "_members") or self._parameters is None:
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        m, p = self._parameters
+        phases = [over_least_modulus(ks, m) for ks in product(range(m), repeat=self.degree) if sum(ks) % p == 0]
+        elements = tuple(MonomialElement._trusted(s, *ks) for s in permutations(range(self.degree)) for ks in phases)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_members", frozenset(elements))
+        return getattr(self, name)
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._parameters is None:
+            return len(self.elements)
+        return g_group_order(*self._parameters, self.degree)
 
     def __contains__(self, g: MonomialElement) -> bool:
-        return g in self._members
+        if self._parameters is None:
+            return g in self._members
+        # phases in mu_m whose product lies in mu_{m/p}
+        m, p = self._parameters
+        return g.degree == self.degree and m % g.modulus == 0 and sum(g.phase_numerators) * (m // g.modulus) % p == 0
 
 
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000) -> MonomialGroup:
@@ -212,7 +244,11 @@ def g_group_order(m: int, p: int, n: int) -> int:
 
 
 def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
-    """G(m, p, n), listed in canonical order: every permutation, then phases in mu_m with product in mu_{m/p}."""
+    """G(m, p, n): phases in mu_m with product in mu_{m/p}, times every permutation.
+
+    Its elements are listed in canonical order when first read: every
+    permutation, then every phase vector.
+    """
     if m < 1 or n < 1 or p < 1 or m % p:
         raise ValueError("need m, n >= 1 and p | m")
     size = 1  # m^n n! / p > cap iff the running product m^i i! passes cap * p at some i <= n
@@ -230,9 +266,7 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(MonomialElement(tuple(perm), (0,) * n, 1))
-    phases = [over_least_modulus(ks, m) for ks in product(range(m), repeat=n) if sum(ks) % p == 0]
-    elements = tuple(MonomialElement._trusted(s, *ks) for s in permutations(range(n)) for ks in phases)
-    return MonomialGroup(n, elements, tuple(gens))
+    return MonomialGroup._parametric(m, p, n, tuple(gens))
 
 
 def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialElement, ...]:
@@ -319,43 +353,174 @@ def _reported_spectrum(g: MonomialElement, reflection_rep: bool) -> Spectrum:
     return Spectrum(values)
 
 
+def _bounded_sums(length: int, bound: int):
+    """Every tuple of ``length`` non-negative integers with sum below ``bound`` (>= 1)."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(bound):
+        for rest in _bounded_sums(length - 1, bound - first):
+            yield (first, *rest)
+
+
+def _exceptional_candidates(n: int, m: int):
+    """Every element of degree n with phases in mu_m and 0 < age < 1.
+
+    2m * age sums 2 * (phase sum of the cycle mod m) + m * (l - 1) over the
+    l-cycles, so an l-cycle adds at least (l - 1)/2 and the permutation is
+    the identity or one transposition (a b).  The identity needs
+    0 < sum(k) < m; the transposition 2 * ((k_a + k_b) mod m) + 2 * (the
+    other k) < m.
+    """
+    identity = tuple(range(n))
+    for ks in _bounded_sums(n, m):
+        if any(ks):
+            yield MonomialElement._trusted(identity, *over_least_modulus(ks, m))
+    for a, b in combinations(range(n), 2):
+        perm = list(identity)
+        perm[a], perm[b] = b, a
+        perm = tuple(perm)
+        for s, *rest in _bounded_sums(n - 1, (m + 1) // 2):
+            for ka in range(m):
+                ks = rest.copy()
+                ks.insert(a, ka)
+                ks.insert(b, (s - ka) % m)
+                yield MonomialElement._trusted(perm, *over_least_modulus(ks, m))
+
+
+class _PhaseSpan:
+    """The subgroup of (Z/m)^n that the added vectors span.
+
+    The rows are an upper-triangular basis of the lattice Λ + m Z^n, Λ the
+    span of the vectors: row i is zero before column i, has a divisor of
+    m at column i and entries in [0, m) after it, and starts as m e_i.
+    An added vector is reduced row by row and, where the pivot does not
+    divide its entry, swapped in by an extended gcd; what is left of it
+    moves on to the later rows.  The subgroup has order m^n / prod(pivots).
+    """
+
+    __slots__ = ("rows", "m", "order")
+
+    def __init__(self, n: int, m: int):
+        self.rows = [[m if j == i else 0 for j in range(n)] for i in range(n)]
+        self.m = m
+        self.order = 1
+
+    def add(self, vector: Sequence[int]) -> None:
+        m, rows = self.m, self.rows
+        v = [x % m for x in vector]
+        changed = False
+        for i, row in enumerate(rows):
+            a = v[i]
+            if not a:
+                continue
+            b = row[i]
+            if a % b:  # x*b + y*a = g = gcd(a, b) becomes the pivot
+                g = math.gcd(a, b)
+                y = pow(a // g, -1, b // g)
+                x = (g - y * a) // b
+                rows[i] = [(x * r + y * w) % m for r, w in zip(row, v)]
+                v = [((b // g) * w - (a // g) * r) % m for r, w in zip(row, v)]
+                changed = True
+            else:
+                q = a // b
+                v = [(w - q * r) % m for r, w in zip(row, v)]
+        if changed:
+            self.order = m ** len(rows) // math.prod(row[i] for i, row in enumerate(rows))
+
+
+def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
+    """|N| for N the subgroup the class generates, or group_order once |N| > group_order/2 (then N = G by Lagrange).
+
+    |N| = |pi(N)| * |N ∩ D|, pi the map to permutations and D the diagonal
+    subgroup.  pi(N) is walked with a lift in N of each permutation; a
+    member joins the generators only if its permutation is new, and
+    otherwise member * lift^-1 lies in N ∩ D.  By Schreier's lemma N ∩ D
+    is generated by lift(h) * s * lift(h pi(s))^-1 over the walk, together
+    with the conjugates of those diagonal members by every lift.  N ∩ D is
+    kept as the span of their phase vectors in (Z/L)^n, L the lcm of the
+    class's moduli.
+    """
+    n = cls[0].degree
+    m = math.lcm(*{c.modulus for c in cls})
+    half = group_order // 2
+    span = _PhaseSpan(n, m)
+    full = m**n
+    seen: set[tuple[int, ...]] = set()
+
+    def add(vector):
+        if vector not in seen:
+            seen.add(vector)
+            span.add(vector)
+
+    def diagonal(y, t):  # y * t^-1 for y, t over the same permutation, as a phase vector mod m
+        fy, ft, v = m // y.modulus, m // t.modulus, [0] * n
+        for j, ky, kt in zip(y.permutation, y.phase_numerators, t.phase_numerators):
+            v[j] = (ky * fy - kt * ft) % m
+        return tuple(v)
+
+    identity = monomial_identity(n)
+    lifts = {identity.permutation: identity}
+    points = [identity.permutation]
+    gens: list[MonomialElement] = []
+    diagonals: list[tuple[int, ...]] = []
+    for c in cls:
+        t = lifts.get(c.permutation)
+        if t is not None:
+            diagonals.append(diagonal(c, t))
+            continue
+        gens.append(c)
+        old = len(points)
+        for i, h in enumerate(points):  # grows while it is walked; old points meet only the new generator
+            x = lifts[h]
+            for s in gens if i >= old else (c,):
+                y = x.compose(s)
+                t = lifts.get(y.permutation)
+                if t is None:
+                    lifts[y.permutation] = y
+                    points.append(y.permutation)
+                elif span.order < full:
+                    add(diagonal(y, t))
+                if len(points) * span.order > half:
+                    return group_order
+    for d in diagonals:
+        for h in points:  # the conjugate by a lift over h moves the phase of line j to line h[j]
+            if span.order == full:
+                break
+            v = [0] * n
+            for j, k in zip(h, d):
+                v[j] = k
+            add(tuple(v))
+        if len(points) * span.order > half:
+            return group_order
+    return len(points) * span.order
+
+
 def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropProdReport:
     """Scan a monomial group for exceptional elements, per conjugacy class.
 
     Entries whose normal closure is the whole group must have transposition
     permutation part; any counterexample lands in ``violations`` and
-    signals an implementation bug, not a discovery.  The normal closure of
-    a class is the subgroup its members generate, so only its order is
-    computed, from the class already in hand.
+    signals an implementation bug, not a discovery.  The exceptional
+    elements are enumerated from the age bound and kept if they belong to
+    the group, and the normal closure of a class is the subgroup its
+    members generate, whose order comes from Schreier's lemma: the group
+    is never listed.
     """
+    modulus = math.lcm(*(g.modulus for g in group.generators))  # every element's phases lie in mu_modulus
     if reflection_rep:
-        if any(g.modulus != 1 for g in group.elements):
+        if modulus != 1:
             raise ValueError("reflection projection only applies to phase-free (symmetric) groups")
         if group.degree < 2:
             raise ValueError("reflection representation needs degree >= 2")
-    # age(g) = sum over its l-cycles with phase sum s/m of s/m + (l-1)/2; the cycles depend on the permutation only.
-    cycles: dict[tuple[int, ...], list[list[int]]] = {}
-    exceptional = []
-    for g in group.elements:
-        cyc = cycles.get(g.permutation)
-        if cyc is None:
-            cyc = cycles[g.permutation] = g.cycles()
-        m, k = g.modulus, g.phase_numerators
-        twice_age_times_m = sum(2 * (sum(k[j] for j in c) % m) + m * (len(c) - 1) for c in cyc)
-        if 0 < twice_age_times_m < 2 * m:
-            exceptional.append(g)
     entries = []
     assigned: set[MonomialElement] = set()
-    identity = monomial_identity(group.degree)
-    for g in exceptional:
-        if g in assigned:
+    for g in _exceptional_candidates(group.degree, modulus):
+        if g in assigned or g not in group:
             continue
         cls = conjugacy_class(g, group)
         assigned.update(cls)
-        try:  # a subgroup with more than half the elements is the whole group (Lagrange)
-            closure_order = len(generate(cls, identity, group.order // 2)[0])
-        except GroupTooLargeError:
-            closure_order = group.order
+        closure_order = _closure_order(cls, group.order)
         spec = _reported_spectrum(cls[0], reflection_rep)
         entries.append(
             ExceptionalClassEntry(

@@ -1,0 +1,80 @@
+"""Listing oracles that cross-check the monomial scan in the tests.
+
+``listing_scan`` is a second path to ``prop_prod_check``: it lists the
+group, computes the age of every element from its cycles, and closes each
+exceptional class with ``groups.generate``.  ``span_order`` is a second
+path to the phase span: it adds vectors in (Z/m)^n until the set is closed.
+"""
+
+from reidtai.groups import generate
+from reidtai.monomial import (
+    ExceptionalClassEntry,
+    PropProdReport,
+    conjugacy_class,
+    monomial_identity,
+    spectrum_of,
+)
+from reidtai.roots import RootOfUnity
+from reidtai.spectra import Spectrum
+
+
+def listing_scan(group, reflection_rep: bool = False) -> PropProdReport:
+    """The report of ``prop_prod_check``, from every element of the listed group."""
+    if reflection_rep:
+        if any(g.modulus != 1 for g in group.elements):
+            raise ValueError("reflection projection only applies to phase-free (symmetric) groups")
+        if group.degree < 2:
+            raise ValueError("reflection representation needs degree >= 2")
+    exceptional = []
+    for g in group.elements:
+        m, k = g.modulus, g.phase_numerators
+        twice_age_times_m = sum(2 * (sum(k[j] for j in c) % m) + m * (len(c) - 1) for c in g.cycles())
+        if 0 < twice_age_times_m < 2 * m:
+            exceptional.append(g)
+    entries = []
+    assigned = set()
+    for g in exceptional:
+        if g in assigned:
+            continue
+        cls = conjugacy_class(g, group)
+        assigned.update(cls)
+        closure_order = len(generate(cls, monomial_identity(group.degree), group.order)[0])
+        spec = spectrum_of(cls[0])
+        if reflection_rep:
+            values = list(spec.values)
+            values.remove(RootOfUnity(0))
+            spec = Spectrum(values)
+        entries.append(
+            ExceptionalClassEntry(
+                representative=cls[0],
+                class_size=len(cls),
+                age=spec.age(),
+                spectrum=spec,
+                cycle_type=cls[0].cycle_type(),
+                closure_order=closure_order,
+                closure_index=group.order // closure_order,
+                is_transposition=cls[0].is_transposition(),
+            )
+        )
+    entries.sort(key=lambda e: (e.age, e.representative.sort_key()))
+    violations = tuple(
+        e for e in entries if group.degree >= 2 and e.closure_index == 1 and not e.is_transposition
+    )
+    return PropProdReport(group.degree, group.order, reflection_rep, tuple(entries), violations)
+
+
+def span_order(vectors, n: int, m: int) -> int:
+    """The order of the subgroup of (Z/m)^n that the vectors generate, by closing under addition."""
+    gens = [tuple(x % m for x in v) for v in vectors]
+    members = {(0,) * n}
+    frontier = list(members)
+    while frontier:
+        new = []
+        for x in frontier:
+            for v in gens:
+                y = tuple((a + b) % m for a, b in zip(x, v))
+                if y not in members:
+                    members.add(y)
+                    new.append(y)
+        frontier = new
+    return len(members)

@@ -526,6 +526,14 @@ MONOMIAL_SNAPSHOTS["monomial-check-1-1-6-reflection-rep"] = (
     "monomial-check", "--m", "1", "--p", "1", "--n", "6", "--reflection-rep",
 )
 
+# monomial-check outside the benchmark, by its tests/snapshots name: format and arguments.
+MONOMIAL_TEST_SNAPSHOTS = {
+    "monomial-check-2-1-3-json": ("json", ("--m", "2", "--p", "1", "--n", "3")),
+    "monomial-check-2-1-3-table": ("table", ("--m", "2", "--p", "1", "--n", "3")),
+    "monomial-check-6-1-4-json": ("json", ("--m", "6", "--p", "1", "--n", "4")),
+    "monomial-check-1-1-4-reflection-rep-table": ("table", ("--m", "1", "--p", "1", "--n", "4", "--reflection-rep")),
+}
+
 TORUS_INPUTS = sorted((REPO / "demos" / "inputs").glob("*.json"))
 # The six `bench/torusgen.py` seed-1 inputs whose filtration reaches a quotient stage.
 TORUSGEN_INPUTS = sorted((REPO / "tests" / "inputs").glob("*.json"))
@@ -542,6 +550,13 @@ class TestSnapshots:
     def test_monomial_stdout_byte_identical(self, name, capsys):
         assert main(["--format", "json", "--threads", "1", *MONOMIAL_SNAPSHOTS[name]]) == 0
         expected = (REPO / "bench" / "snapshots" / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL_TEST_SNAPSHOTS))
+    def test_monomial_check_byte_identical(self, name, capsys):
+        fmt, args = MONOMIAL_TEST_SNAPSHOTS[name]
+        assert main(["--format", fmt, "monomial-check", *args]) == 0
+        expected = (REPO / "tests" / "snapshots" / f"{name}.out").read_bytes()
         assert capsys.readouterr().out.encode() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -655,6 +670,19 @@ class TestMonomialCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: |G(1,1,{n})| exceeds cap 1000000\n"
+
+    @pytest.mark.parametrize(
+        "m, p, n, message",
+        [
+            (3, 3, 1, "reflection representation needs degree >= 2"),  # G(3,3,1) is trivial, so phase-free
+            (2, 1, 2, "reflection projection only applies to phase-free (symmetric) groups"),
+        ],
+    )
+    def test_reflection_rep_input_errors_exit_2(self, m, p, n, message, capsys):
+        assert main(["monomial-check", "--m", str(m), "--p", str(p), "--n", str(n), "--reflection-rep"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_monomial_check(self, capsys):
         assert main(["--format", "json", "monomial-check", "--m", "2", "--p", "1", "--n", "3"]) == 0

@@ -1,14 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from monomial_oracles import listing_scan, span_order
 
 from reidtai.deviation import monomial_matrix
 from reidtai.monomial import (
     GroupTooLargeError,
     MonomialElement,
+    MonomialGroup,
+    _closure_order,
+    _PhaseSpan,
     conjugacy_class,
     g_group,
     g_group_order,
@@ -245,6 +252,100 @@ class TestPropProd:
             assert e.age == spectrum_of(e.representative).age()
             assert 0 < e.age < 1
             assert e.class_size == len(conjugacy_class(e.representative, g_group(4, 1, 2)))
+
+
+# Every G(m, p, n) with m <= 6, n <= 4 and order <= 12,000, three groups of degree 5, and the reflection
+# representation of every symmetric group among them.
+ORACLE_GROUPS = [
+    (m, p, n) for m in range(1, 7) for p in range(1, m + 1) if m % p == 0 for n in range(1, 5)
+    if g_group_order(m, p, n) <= 12_000
+] + [(2, 1, 5), (1, 1, 5), (3, 3, 5)]
+ORACLE_CASES = [(m, p, n, False) for m, p, n in ORACLE_GROUPS] + [
+    (m, p, n, True) for m, p, n in ORACLE_GROUPS if m == 1 and n >= 2
+]
+
+
+class TestPropProdAgainstTheListing:
+    def test_cases(self):
+        assert len(ORACLE_GROUPS) == 56 and len(ORACLE_CASES) == 60
+
+    @pytest.mark.parametrize("m, p, n, reflection_rep", ORACLE_CASES)
+    def test_report_matches_the_listing_scan(self, m, p, n, reflection_rep):
+        report = prop_prod_check(g_group(m, p, n), reflection_rep=reflection_rep)
+        assert report.to_json() == listing_scan(g_group(m, p, n), reflection_rep=reflection_rep).to_json()
+
+    def test_g614_is_never_listed(self, monkeypatch):
+        group = g_group(6, 1, 4)
+        reads, composes = [], [0]
+        getattr_, compose = MonomialGroup.__getattr__, MonomialElement.compose
+
+        def counted_getattr(self, name):
+            reads.append(name)
+            return getattr_(self, name)
+
+        def counted_compose(self, other):
+            composes[0] += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(MonomialGroup, "__getattr__", counted_getattr)
+        monkeypatch.setattr(MonomialElement, "compose", counted_compose)
+        report = prop_prod_check(group)
+        assert reads == [] and "elements" not in vars(group) and "_members" not in vars(group)
+        assert composes[0] < g_group_order(6, 1, 4) // 4
+        assert report.group_order == 31_104 and len(report.entries) == 24 and not report.violations
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3), (4, 2), (6, 2), (2, 4)])
+    def test_schreier_order_of_any_elements_without_the_lagrange_stop(self, m, n):
+        # a group order too large to stop at, so pi(N) is walked in full and N ∩ D spanned in full
+        rng = random.Random(37 * m + n)
+        elements = g_group(m, 1, n).elements
+        for _ in range(40):
+            gens = rng.sample(elements, rng.randint(1, 3))
+            assert _closure_order(gens, 10**12) == monomial_closure(gens).order, gens
+
+    @pytest.mark.parametrize(
+        "m, p, n", [(m, p, n) for m in range(1, 4) for p in range(1, m + 1) if m % p == 0 for n in range(1, 4)]
+    )
+    def test_membership_from_the_parameters_matches_the_closure(self, m, p, n):
+        group = g_group(m, p, n)
+        closed = set(monomial_closure(group.generators).elements) if group.generators else {monomial_identity(n)}
+        for g in g_group(2 * m, 1, n).elements:
+            assert (g in group) == (g in closed)
+        assert elem(tuple(range(n)), ["1/5"] + [0] * (n - 1)) not in group
+        assert monomial_identity(n + 1) not in group
+        assert "elements" not in vars(group)
+
+
+def _assert_span_matches(vectors, n, m):
+    span = _PhaseSpan(n, m)
+    for v in vectors:
+        span.add(v)
+    for i, row in enumerate(span.rows):
+        assert row[:i] == [0] * i and m % row[i] == 0 and all(0 <= x < m for x in row[i + 1:])
+    assert span.order == span_order(vectors, n, m), (vectors, n, m)
+
+
+class TestPhaseSpan:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_pair_of_vectors_in_the_plane(self, m):
+        vectors = [(a, b) for a in range(m) for b in range(m)]
+        for u in vectors:
+            for v in vectors:
+                _assert_span_matches([u, v], 2, m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_vector_of_degree_three(self, m):
+        for v in product(range(-m, 2 * m, 2), range(m), range(m)):
+            _assert_span_matches([v], 3, m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.lists(st.tuples(*[st.integers(-12, 12)] * 3), max_size=5))
+    @example(6, [(2, 1, 0), (3, 0, 1), (0, 3, 3)])  # pivots 2 and 3 mod 6 meet in an extended gcd
+    @example(6, [(3, 2, 5), (2, 3, 1), (4, 4, 4)])
+    @example(6, [(6, 12, -6), (0, 0, 0), (0, 6, 0)])  # vectors that are 0 mod 6
+    @example(4, [(2, 1, 0), (0, 2, 1)])  # (4/2) * (2, 1, 0) leaves (0, 2, 0) for the later rows
+    def test_against_the_brute_force_span(self, m, vectors):
+        _assert_span_matches(vectors, 3, m)
 
 
 class TestImprimitiveClassification:
