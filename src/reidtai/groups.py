@@ -55,6 +55,8 @@ def generate(elements: Iterable, identity, cap: int) -> tuple[list, tuple]:
 def canonical(elements: Collection, parts: Callable) -> tuple:
     """The elements sorted by (head, k/m for each numerator k), where parts(g) = (head, numerators, m).
 
+    Both element kinds order their fields that way, so parts is the class's field getter ``_values``.
+
     This is the ``sort_key`` order of both element kinds, without building a Fraction: values k/m
     in [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
     """

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, canonical, generate
@@ -39,18 +38,20 @@ __all__ = [
     "spectrum_of",
 ]
 
-_PARTS = attrgetter("permutation", "phase_numerators", "modulus")  # MonomialElement's parts for groups.canonical
 
-
-class MonomialElement:
+class MonomialElement(Record):
     """(permutation) * diag(phases): line j is scaled by e(k_j/m), then sent to line perm[j].
 
     Immutable and hashable, with structural equality on the three parts.
     """
 
     __slots__ = ("permutation", "phase_numerators", "modulus")
+    permutation: tuple[int, ...]
+    phase_numerators: tuple[int, ...]
+    modulus: int
 
-    def __init__(self, permutation: tuple[int, ...], phase_numerators: tuple[int, ...], modulus: int):
+    def __init__(self, permutation: Sequence[int], phase_numerators: Sequence[int], modulus: int):
+        permutation = tuple(permutation)
         n = len(permutation)
         if sorted(permutation) != list(range(n)):
             raise ValueError("permutation must be a bijection of 0..n-1")
@@ -62,28 +63,6 @@ class MonomialElement:
         object.__setattr__(self, "permutation", permutation)
         object.__setattr__(self, "phase_numerators", nums)
         object.__setattr__(self, "modulus", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MonomialElement is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.permutation, self.phase_numerators, self.modulus) == (
-                other.permutation, other.phase_numerators, other.modulus
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.permutation, self.phase_numerators, self.modulus))
-
-    def __repr__(self):
-        return (
-            f"MonomialElement(permutation={self.permutation!r}, phase_numerators={self.phase_numerators!r}, "
-            f"modulus={self.modulus!r})"
-        )
 
     @classmethod
     def _trusted(cls, permutation: tuple[int, ...], numerators: tuple[int, ...], m: int) -> "MonomialElement":
@@ -236,7 +215,7 @@ def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000
         raise ValueError("need at least one generator")
     degree = gens[0].degree
     members, _ = generate(gens, monomial_identity(degree), cap)
-    return MonomialGroup(degree, canonical(members, _PARTS), gens)
+    return MonomialGroup(degree, canonical(members, MonomialElement._values), gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -283,7 +262,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
                     seen.add(y)
                     new.append(y)
         frontier = new
-    return canonical(seen, _PARTS)
+    return canonical(seen, MonomialElement._values)
 
 
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
@@ -296,7 +275,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
     if g not in group:
         raise ValueError("element does not belong to the group")
     members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
-    return MonomialGroup(group.degree, canonical(members, _PARTS), used)
+    return MonomialGroup(group.degree, canonical(members, MonomialElement._values), used)
 
 
 # ---------------------------------------------------------------------------
@@ -437,37 +416,31 @@ def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
     member joins the generators only if its permutation is new, and
     otherwise member * lift^-1 lies in N ∩ D.  By Schreier's lemma N ∩ D
     is generated by lift(h) * s * lift(h pi(s))^-1 over the walk, together
-    with the conjugates of those diagonal members by every lift.  N ∩ D is
-    kept as the span of their phase vectors in (Z/L)^n, L the lcm of the
-    class's moduli.
+    with the conjugates of those diagonal members by N.  N ∩ D is kept as
+    the span of their phase vectors in (Z/L)^n, L the lcm of the class's
+    moduli; conjugation by s permutes a phase vector by pi(s), so the span
+    is closed under the generators' permutations, which generate pi(N).
     """
     n = cls[0].degree
     m = math.lcm(*{c.modulus for c in cls})
     half = group_order // 2
     span = _PhaseSpan(n, m)
     full = m**n
-    seen: set[tuple[int, ...]] = set()
-
-    def add(vector):
-        if vector not in seen:
-            seen.add(vector)
-            span.add(vector)
 
     def diagonal(y, t):  # y * t^-1 for y, t over the same permutation, as a phase vector mod m
         fy, ft, v = m // y.modulus, m // t.modulus, [0] * n
         for j, ky, kt in zip(y.permutation, y.phase_numerators, t.phase_numerators):
             v[j] = (ky * fy - kt * ft) % m
-        return tuple(v)
+        return v
 
     identity = monomial_identity(n)
     lifts = {identity.permutation: identity}
     points = [identity.permutation]
     gens: list[MonomialElement] = []
-    diagonals: list[tuple[int, ...]] = []
     for c in cls:
         t = lifts.get(c.permutation)
         if t is not None:
-            diagonals.append(diagonal(c, t))
+            span.add(diagonal(c, t))
             continue
         gens.append(c)
         old = len(points)
@@ -480,19 +453,20 @@ def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
                     lifts[y.permutation] = y
                     points.append(y.permutation)
                 elif span.order < full:
-                    add(diagonal(y, t))
+                    span.add(diagonal(y, t))
                 if len(points) * span.order > half:
                     return group_order
-    for d in diagonals:
-        for h in points:  # the conjugate by a lift over h moves the phase of line j to line h[j]
-            if span.order == full:
-                break
-            v = [0] * n
-            for j, k in zip(h, d):
-                v[j] = k
-            add(tuple(v))
-        if len(points) * span.order > half:
-            return group_order
+    order = 0
+    while order < span.order < full:  # a pass that leaves the order unchanged leaves every row in the span
+        order = span.order
+        for s in gens:  # the conjugate by s moves the phase of line j to line pi(s)[j]
+            for row in span.rows.copy():
+                v = [0] * n
+                for j, k in zip(s.permutation, row):
+                    v[j] = k
+                span.add(v)
+            if len(points) * span.order > half:
+                return group_order
     return len(points) * span.order
 
 

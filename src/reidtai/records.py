@@ -1,16 +1,18 @@
-"""Frozen report records: one base class instead of generated methods.
+"""Frozen records and values: one base class instead of generated methods.
 
-A subclass declares its fields as class annotations, in order; a field's
-default is a plain class attribute.  The base gives every subclass
-positional and keyword construction, ``==`` on the field tuple
-(``NotImplemented`` for another class), the hash of that tuple,
-``Qualname(field=...)`` as repr, and an ``AttributeError`` on assignment
-or deletion.  Defining a subclass only reads its annotations: no code is
-generated or exec'd and nothing is imported, so start-up pays no more for
-a record than for a plain class.
+A subclass declares its fields as class annotations, in order, and may also
+name them in ``__slots__``; a field's default is a class attribute that is
+not a slot.  The base gives every subclass positional and keyword
+construction, ``==`` on the field tuple (``NotImplemented`` for another
+class), the hash of that tuple, ``Qualname(field=...)`` as repr, and an
+``AttributeError`` on assignment or deletion.  Defining a subclass only
+reads its annotations: no code is generated or exec'd, and ``operator`` is
+loaded at interpreter start, so a record costs no more than a plain class.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 __all__ = ["Record"]
 
@@ -21,7 +23,12 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._defaults = {name: getattr(cls, name) for name in fields if name not in slots and hasattr(cls, name)}
+        # cls._values(record) is the field tuple; attrgetter gives a bare value for one name and needs at least one
+        get = attrgetter(*fields) if len(fields) > 1 else lambda record: tuple(getattr(record, f) for f in fields)
+        cls._values = staticmethod(get)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -43,21 +50,19 @@ class Record:
             if name in values:
                 raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
             values[name] = value
-        missing = [name for name in names if name not in values and not hasattr(cls, name)]
+        missing = [name for name in names if name not in values and name not in cls._defaults]
         if missing:
             raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
-        return [values[name] if name in values else getattr(cls, name) for name in names]
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return [values[name] if name in values else cls._defaults[name] for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            get = self._values
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

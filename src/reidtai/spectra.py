@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .records import Record
 from .roots import RootOfUnity
 
 __all__ = [
@@ -26,7 +27,7 @@ __all__ = [
 BLICHFELDT_ARC_TURNS = Fraction(1, 6)
 
 
-class Spectrum:
+class Spectrum(Record):
     """A finite multiset of roots of unity: the eigenvalue data of one element.
 
     Values are kept as a sorted tuple (multiplicity by repetition), which is
@@ -34,21 +35,13 @@ class Spectrum:
     """
 
     __slots__ = ("values",)
+    values: tuple[RootOfUnity, ...]
 
     def __init__(self, values: Iterable):
         vals = tuple(sorted(v if isinstance(v, RootOfUnity) else RootOfUnity(Fraction(v)) for v in values))
         if not vals:
             raise ValueError("a spectrum needs at least one eigenvalue")
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spectrum is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Spectrum) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __iter__(self) -> Iterator[RootOfUnity]:
         return iter(self.values)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, canonical, generate
@@ -65,10 +64,9 @@ __all__ = [
 KODAIRA_ZERO = "KodairaZero"
 UNIRULED_NOT_RC = "UniruledNotRC"
 RATIONALLY_CONNECTED = "RationallyConnected"
-_PARTS = attrgetter("linear", "numerators", "denominator")  # AffineTorusMap's parts for groups.canonical
 
 
-class AffineTorusMap:
+class AffineTorusMap(Record):
     """x -> (linear)x + translation on R^n/Z^n; translations live in [0,1)^n.
 
     The translation is stored as integer numerators in [0, denominator)
@@ -77,6 +75,9 @@ class AffineTorusMap:
     """
 
     __slots__ = ("linear", "numerators", "denominator")
+    linear: IntMatrix
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __init__(self, linear: IntMatrix, translation: Sequence):
         linear = mat(linear)
@@ -100,28 +101,6 @@ class AffineTorusMap:
         object.__setattr__(g, "numerators", nums)
         object.__setattr__(g, "denominator", d)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineTorusMap is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AffineTorusMap is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.linear, self.numerators, self.denominator) == (
-                other.linear, other.numerators, other.denominator
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.linear, self.numerators, self.denominator))
-
-    def __repr__(self):
-        return (
-            f"AffineTorusMap(linear={self.linear!r}, numerators={self.numerators!r}, "
-            f"denominator={self.denominator!r})"
-        )
 
     @property
     def translation(self) -> tuple[Fraction, ...]:
@@ -224,7 +203,7 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     if divisor > max(cap, 1):
         raise GroupTooLargeError.over_cap(cap)
     members, _ = generate(gens, affine_identity(n), cap)
-    return TorusAction(n, canonical(members, _PARTS), gens)
+    return TorusAction(n, canonical(members, AffineTorusMap._values), gens)
 
 
 class ExceptionalElement(Record):
@@ -317,7 +296,7 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
         block = tuple(row[r:] for row in m2[r:])
         for g in run:
             induced[g] = AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator)
-    elements = canonical(set(induced.values()), _PARTS)
+    elements = canonical(set(induced.values()), AffineTorusMap._values)
     return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from reidtai.groups import GroupTooLargeError
 from reidtai.lattice import identity, mat_mul
 from reidtai.monomial import MonomialElement, conjugacy_class, g_group, monomial_closure, normal_closure
+from reidtai.spectra import Spectrum
 from reidtai.torus import AffineTorusMap, closure
 
 F = Fraction
@@ -208,7 +209,7 @@ def test_torus_trusted_products_equal_validated(gens, data):
 
 
 # ---------------------------------------------------------------------------
-# Hand-slotted elements: equal parts are equal values, and nothing can be set
+# Slotted values: equal parts are equal values, and nothing can be set
 # ---------------------------------------------------------------------------
 
 
@@ -233,6 +234,13 @@ def test_monomial_element_equality_is_on_its_parts():
     assert checked == trusted
 
 
+def test_a_list_permutation_is_stored_as_a_tuple():
+    listed = MonomialElement([1, 0], (0, 0), 1)
+    assert listed.permutation == (1, 0) and type(listed.permutation) is tuple
+    assert listed == MonomialElement((1, 0), (0, 0), 1) and hash(listed) == hash(((1, 0), (0, 0), 1))
+    assert monomial_closure([listed]).order == 2
+
+
 def test_affine_torus_map_equality_is_on_its_parts():
     swap = ((0, 1), (1, 0))
     trusted = AffineTorusMap._trusted(swap, (2, 4), 8)  # reduces to (1, 2) over 4
@@ -244,3 +252,11 @@ def test_affine_torus_map_equality_is_on_its_parts():
     _assert_slotted_and_frozen(trusted)
     _assert_slotted_and_frozen(checked)
     assert checked == trusted
+
+
+def test_spectrum_equality_is_on_its_values():
+    s = Spectrum([F(1, 2), 0])
+    assert s == Spectrum(["0", "1/2"]) and hash(s) == hash((s.values,)) and s != Spectrum([F(1, 2)])
+    assert s.__eq__(s.values) is NotImplemented
+    assert repr(s) == "Spectrum([0, 1/2])"
+    _assert_slotted_and_frozen(s)

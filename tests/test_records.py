@@ -1,10 +1,12 @@
-"""The report records against frozen dataclass twins.
+"""The report records against frozen dataclass twins, and slotted records.
 
 Every report class derives from ``reidtai.records.Record`` instead of being a
 ``@dataclass(frozen=True)``.  Each twin below is made by
 ``dataclasses.make_dataclass`` from the class's own annotations and default
 class attributes, the same class body the decorator used to read, and the two
-must agree on repr, equality, hashing, construction and immutability.
+must agree on repr, equality, hashing, construction and immutability.  The
+value classes (group elements and spectra) are records too, with their fields
+in ``__slots__``; a throwaway slotted record checks what the base gives them.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from reidtai.monomial import MonomialGroup, g_group
 from reidtai.records import Record
 from reidtai.roots import unit_classes
 from reidtai.search import MODE_ORBIT_SETS, MODE_VALUE_UNION, PairDecision, enumerate_exceptional_multisets
+from reidtai.spectra import Spectrum
 from reidtai.torus import AffineTorusMap, closure, exceptional_elements
 
 RECORDS = sorted(
@@ -25,7 +28,10 @@ RECORDS = sorted(
         cls
         for module in (roots, lattice, search, monomial, torus, deviation)
         for cls in vars(module).values()
-        if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == module.__name__
+        if isinstance(cls, type)
+        and issubclass(cls, Record)
+        and cls.__module__ == module.__name__
+        and "__slots__" not in cls.__dict__  # the slotted values (group elements, spectra) write their own __init__
     ),
     key=lambda cls: (cls.__module__, cls.__qualname__),
 )
@@ -73,6 +79,18 @@ def test_every_report_class_is_a_record():
     assert len(RECORDS) == 24
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     assert not dataclasses.is_dataclass(monomial.MonomialElement) and not dataclasses.is_dataclass(AffineTorusMap)
+
+
+def test_the_value_classes_are_slotted_records_with_no_hand_written_methods():
+    fields_of = {
+        monomial.MonomialElement: ("permutation", "phase_numerators", "modulus"),
+        AffineTorusMap: ("linear", "numerators", "denominator"),
+        Spectrum: ("values",),
+    }
+    for cls, fields in fields_of.items():
+        assert issubclass(cls, Record) and cls._fields == cls.__slots__ == fields
+        own = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"} & set(cls.__dict__)
+        assert own == ({"__repr__"} if cls is Spectrum else set())
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +228,69 @@ def test_monomial_group_members_are_not_a_field():
     assert_matches_twin(report)
     for entry in report.entries:
         assert_matches_twin(entry)
+
+
+# ---------------------------------------------------------------------------
+# A slotted record: fields in __slots__, no defaults read from the slots
+# ---------------------------------------------------------------------------
+
+
+class Point(Record):
+    __slots__ = ("x", "y")
+    x: int
+    y: int
+
+
+class Label(Record):
+    __slots__ = ("text",)
+    text: str
+
+
+class Empty(Record):
+    __slots__ = ()
+
+
+def test_a_slotted_record_needs_every_argument():
+    assert Point._defaults == {} and Point._fields == ("x", "y")
+    with pytest.raises(TypeError, match="missing required arguments: y"):
+        Point(1)
+    with pytest.raises(TypeError, match="missing required arguments: x, y"):
+        Point()
+    with pytest.raises(TypeError):
+        Point(1, 2, 3)
+    with pytest.raises(TypeError):
+        Point(1, x=2)
+
+
+def test_a_slotted_record_by_keyword_and_position():
+    p = Point(y=2, x=1)
+    assert p == Point(1, 2) == Point(1, y=2) and (p.x, p.y) == (1, 2)
+    assert repr(p) == "Point(x=1, y=2)" and repr(Label("a")) == "Label(text='a')" and repr(Empty()) == "Empty()"
+    assert not hasattr(p, "__dict__")
+
+
+def test_a_slotted_record_hashes_its_field_tuple():
+    assert hash(Point(1, 2)) == hash((1, 2)) and Point._values(Point(1, 2)) == (1, 2)
+    assert hash(Label("a")) == hash(("a",)) and Label._values(Label("a")) == ("a",)
+    assert hash(Empty()) == hash(()) and Empty._values(Empty()) == () and Empty() == Empty()
+    assert Point(1, 2) != Point(2, 1) and Label("a") != Label("b")
+
+
+def test_a_slotted_record_is_unequal_to_another_class():
+    class Twin(Record):
+        __slots__ = ("x", "y")
+        x: int
+        y: int
+
+    assert Point(1, 2).__eq__(Twin(1, 2)) is NotImplemented and Point(1, 2) != Twin(1, 2)
+    assert Point(1, 2).__eq__((1, 2)) is NotImplemented and Point(1, 2) != (1, 2)
+
+
+def test_a_slotted_record_cannot_be_changed():
+    p = Point(1, 2)
+    for name in ("x", "y", "z"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == Point(1, 2)
