@@ -3,7 +3,9 @@
 Subcommands mirror the library: ages and Reid-Tai checks, the machine
 searches with conformance reports, torus-quotient verdicts, monomial
 group scans, and the numeric deviation checks.  Output is a stable,
-canonically ordered table or JSON (all JSON payloads carry "schema": 1);
+canonically ordered table or JSON.  A JSON payload is built from the
+reports' own ``to_json()``, which follows the one rule of
+``records.json_value``, and ``_emit`` adds the schema version to it;
 exit status is 0 on success, 1 when --strict-conformance is set and a
 conformance report has missing or extra entries, and 2 on input errors.
 """
@@ -71,6 +73,8 @@ def _load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # json.loads recurses once per level of nesting
+        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
 def _load_action(path: str, cap: int):
@@ -102,7 +106,7 @@ def _load_complex_matrix(path: str, what: str) -> list[list[complex]]:
 
 def _emit(payload: dict, fmt: str, table_renderer) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2))
     else:
         table_renderer(payload)
 
@@ -119,12 +123,7 @@ def _conformance_exit(report_json: dict, strict: bool) -> int:
 
 def _cmd_age(args) -> int:
     s = _parse_spectrum(args.spectrum)
-    payload = {
-        "schema": 1,
-        "spectrum": s.to_json(),
-        "age": str(s.age()),
-        "exceptional": s.is_exceptional(),
-    }
+    payload = {"spectrum": s.to_json(), "age": str(s.age()), "exceptional": s.is_exceptional()}
     _emit(payload, args.format, lambda p: print(f"age {p['age']}  exceptional {p['exceptional']}"))
     return EXIT_OK
 
@@ -136,11 +135,7 @@ def _cmd_rt_check(args) -> int:
     entries = [
         {"spectrum": s.to_json(), "age": str(s.age()), "exceptional": s.is_exceptional()} for s in spectra
     ]
-    payload = {
-        "schema": 1,
-        "elements": entries,
-        "satisfies_rt": not any(e["exceptional"] for e in entries),
-    }
+    payload = {"elements": entries, "satisfies_rt": not any(e["exceptional"] for e in entries)}
 
     def render(p):
         for e in p["elements"]:
@@ -155,7 +150,7 @@ def _cmd_table1(args) -> int:
     from .search import table1
 
     rows = table1()
-    payload = {"schema": 1, "rows": [r.to_json() for r in rows]}
+    payload = {"rows": [r.to_json() for r in rows]}
 
     def render(p):
         print(f"{'n':>3} {'phi(n)/2':>9}  {'values':<24} mean")
@@ -171,7 +166,6 @@ def _cmd_orders_scan(args) -> int:
 
     computed, report = feasible_orders(args.bound)
     payload = {
-        "schema": 1,
         "bound": args.bound,
         "orders": list(computed),
         "conformance": report.to_json(),
@@ -191,11 +185,10 @@ def _cmd_pair_search(args) -> int:
 
     classes, report = classify_pairs(args.f_max, args.mode)
     payload = {
-        "schema": 1,
         "f_max": args.f_max,
         "mode": args.mode,
         "pairs": [c.to_json() for c in classes],
-        "conformance": report.to_json(render=lambda p: [str(v) for v in p]),
+        "conformance": report.to_json(),
     }
 
     def render(p):
@@ -212,7 +205,7 @@ def _cmd_multisets(args) -> int:
     from .search import enumerate_exceptional_multisets
 
     result = enumerate_exceptional_multisets(args.mode, args.f_max)
-    payload = {"schema": 1, **result.to_json()}
+    payload = result.to_json()
 
     def render(p):
         for ms in p["multisets"]:
@@ -229,7 +222,6 @@ def _cmd_same_order_screen(args) -> int:
 
     age = min_age_same_order(args.n, args.dim)
     payload = {
-        "schema": 1,
         "n": args.n,
         "dim": args.dim,
         "feasible": age is not None,
@@ -248,7 +240,7 @@ def _cmd_av_verdict(args) -> int:
 
     action = _load_action(args.input, args.cap)
     report = filtration(action)
-    payload = {"schema": 1, "verdict": report.verdict, "order": action.order}
+    payload = {"verdict": report.verdict, "order": action.order}
     _emit(payload, args.format, lambda p: print(p["verdict"]))
     return EXIT_OK
 
@@ -291,7 +283,6 @@ def _cmd_monomial_check(args) -> int:
     group = g_group(args.m, args.p, args.n, cap=args.cap)
     report = prop_prod_check(group, reflection_rep=args.reflection_rep)
     payload = {
-        "schema": 1,
         "m": args.m,
         "p": args.p,
         "n": args.n,
@@ -316,7 +307,7 @@ def _cmd_imprimitive_cases(args) -> int:
     from .monomial import imprimitive_classification
 
     records = imprimitive_classification()
-    payload = {"schema": 1, "cases": [r.to_json() for r in records]}
+    payload = {"cases": [r.to_json() for r in records]}
 
     def render(p):
         for r in p["cases"]:
@@ -338,7 +329,6 @@ def _cmd_deviation(args) -> int:
         s = _parse_spectrum(args.spectrum)
         age = s.age()
         payload = {
-            "schema": 1,
             "spectrum": s.to_json(),
             "age": str(age),
             "eigenbasis_deviation": dev.eigenbasis_deviation(s),
@@ -356,8 +346,7 @@ def _cmd_deviation(args) -> int:
         report = dev.deviation_wrt_basis(matrix, basis)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    payload = {"schema": 1, **report.to_json()}
-    _emit(payload, args.format, lambda p: print(f"deviation {p['total']:.9f}"))
+    _emit(report.to_json(), args.format, lambda p: print(f"deviation {p['total']:.9f}"))
     return EXIT_OK
 
 
@@ -365,7 +354,7 @@ def _cmd_extraspecial_scan(args) -> int:
     from . import deviation as dev
 
     records = dev.extraspecial_scan(args.max_dim)
-    payload = {"schema": 1, "max_dim": args.max_dim, "records": [r.to_json() for r in records]}
+    payload = {"max_dim": args.max_dim, "records": [r.to_json() for r in records]}
 
     def render(p):
         for r in p["records"]:

@@ -64,9 +64,6 @@ class DeviationReport(Record):
         """Indices of basis vectors with ||T(b) - b|| >= x."""
         return tuple(i for i, d in enumerate(self.per_vector) if d >= x)
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "per_vector": list(self.per_vector), "total": self.total}
-
 
 def deviation_wrt_basis(t, basis=None, label: str = "basis") -> DeviationReport:
     """d(T, B) = sum ||T(b) - b|| over the columns of the orthonormal basis B."""
@@ -98,14 +95,9 @@ class ProductBoundReport(Record):
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "n_factors": self.n_factors,
-            "dimension": self.dimension,
-            "jump_counts": [list(row) for row in self.jump_counts],
-            "product_deviation": self.product_deviation,
-            "factor_deviation_sum": self.factor_deviation_sum,
-            "ok": self.ok,
-        }
+        payload = super().to_json()
+        del payload["thresholds"]
+        return payload
 
 
 def product_bound_check(ts: Sequence, bases: Sequence | None = None) -> ProductBoundReport:
@@ -203,13 +195,6 @@ class InvariantDimensionReport(Record):
     average: float
     witness_index: int | None  # an element with Re tr <= 0 when dimension is 0
 
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "average": self.average,
-            "witness_index": self.witness_index,
-        }
-
 
 def invariant_dimension(group) -> InvariantDimensionReport:
     """dim of invariants = average of traces over a closed finite matrix group."""
@@ -242,16 +227,6 @@ class TensorPermTraceReport(Record):
     product_trace: complex
     bound: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n_factors": self.n_factors,
-            "dimension": self.dimension,
-            "cyclic_trace": [self.cyclic_trace.real, self.cyclic_trace.imag],
-            "product_trace": [self.product_trace.real, self.product_trace.imag],
-            "bound": self.bound,
-            "ok": self.ok,
-        }
 
 
 def tensor_perm_trace_check(ts: Sequence) -> TensorPermTraceReport:
@@ -297,20 +272,6 @@ class ExtraspecialRecord(Record):
     threshold: float
     stated_bound_below_threshold: bool
     survives: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n_exp": self.n_exp,
-            "m": self.m,
-            "dim": self.dim,
-            "eigen_deviation": self.eigen_deviation,
-            "stated_bound": self.stated_bound,
-            "relaxed_bound": self.relaxed_bound,
-            "threshold": self.threshold,
-            "stated_bound_below_threshold": self.stated_bound_below_threshold,
-            "survives": self.survives,
-        }
 
 
 def _is_prime(p: int) -> bool:

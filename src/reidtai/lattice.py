@@ -259,9 +259,6 @@ class Sublattice(Record):
     def is_full(self) -> bool:
         return self.basis == identity(self.ambient_rank)
 
-    def to_json(self) -> dict:
-        return {"ambient_rank": self.ambient_rank, "basis": [list(r) for r in self.basis]}
-
 
 def zero_sublattice(n: int) -> Sublattice:
     return Sublattice(n, ())

@@ -293,18 +293,6 @@ class ExceptionalClassEntry(Record):
     closure_index: int
     is_transposition: bool
 
-    def to_json(self) -> dict:
-        return {
-            "representative": self.representative.to_json(),
-            "class_size": self.class_size,
-            "age": str(self.age),
-            "spectrum": self.spectrum.to_json(),
-            "cycle_type": list(self.cycle_type),
-            "closure_order": self.closure_order,
-            "closure_index": self.closure_index,
-            "is_transposition": self.is_transposition,
-        }
-
 
 class PropProdReport(Record):
     degree: int
@@ -314,13 +302,9 @@ class PropProdReport(Record):
     violations: tuple[ExceptionalClassEntry, ...]
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "group_order": self.group_order,
-            "reflection_rep": self.reflection_rep,
-            "exceptional_classes": [e.to_json() for e in self.entries],
-            "violations": [e.to_json() for e in self.violations],
-        }
+        payload = super().to_json()
+        payload["exceptional_classes"] = payload.pop("entries")
+        return payload
 
 
 def _reported_spectrum(g: MonomialElement, reflection_rep: bool) -> Spectrum:
@@ -531,18 +515,6 @@ class CaseRecord(Record):
     square_age: Fraction
     eliminated: bool
     reason: str
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "swap_value": str(self.swap_value),
-            "extra": None if self.extra is None else str(self.extra),
-            "spectrum": self.spectrum.to_json(),
-            "square_spectrum": self.square_spectrum.to_json(),
-            "square_age": str(self.square_age),
-            "eliminated": self.eliminated,
-            "reason": self.reason,
-        }
 
 
 def imprimitive_case_candidates() -> tuple[tuple[RootOfUnity, RootOfUnity | None], ...]:

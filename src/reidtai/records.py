@@ -6,15 +6,40 @@ not a slot.  The base gives every subclass positional and keyword
 construction, ``==`` on the field tuple (``NotImplemented`` for another
 class), the hash of that tuple, ``Qualname(field=...)`` as repr, and an
 ``AttributeError`` on assignment or deletion.  Defining a subclass only
-reads its annotations: no code is generated or exec'd, and ``operator`` is
-loaded at interpreter start, so a record costs no more than a plain class.
+reads its annotations: no code is generated or exec'd, ``operator`` is
+loaded at interpreter start and ``fractions`` by every engine, so a record
+costs no more than a plain class.
+
+``to_json`` maps each field through ``json_value``, the one JSON rule of
+every report: a ``Fraction`` (so a ``RootOfUnity``) becomes its string, a
+tuple or list a list, a dict one with string keys, a ``complex`` the pair
+``[re, im]``, a nested record its own ``to_json()``, and any other value
+stays as it is.  A report whose JSON renames, drops or reshapes a key
+overrides ``to_json`` and starts from ``super().to_json()``; the value
+classes (group elements, spectra) write their own formats.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
 
-__all__ = ["Record"]
+__all__ = ["Record", "json_value"]
+
+
+def json_value(value):
+    """The JSON form of one field value."""
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {str(k): json_value(v) for k, v in value.items()}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 class Record:
@@ -67,6 +92,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def to_json(self) -> dict:
+        return {name: json_value(getattr(self, name)) for name in self._fields}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

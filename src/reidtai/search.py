@@ -104,7 +104,8 @@ class ConformanceReport(Record):
     """Diff of a computed set against its published reference set.
 
     ``extras`` pairs each surplus item with a witness dict that
-    ``verify-witness`` can re-check.
+    ``verify-witness`` can re-check; the JSON lists them under ``extra``
+    as ``{"item", "witness"}`` objects.
     """
 
     expected: tuple
@@ -116,13 +117,10 @@ class ConformanceReport(Record):
     def conforms(self) -> bool:
         return not self.missing and not self.extras
 
-    def to_json(self, render=lambda x: x) -> dict:
-        return {
-            "expected": [render(x) for x in self.expected],
-            "computed": [render(x) for x in self.computed],
-            "missing": [render(x) for x in self.missing],
-            "extra": [{"item": render(x), "witness": w} for x, w in self.extras],
-        }
+    def to_json(self) -> dict:
+        payload = super().to_json()
+        payload["extra"] = [{"item": x, "witness": w} for x, w in payload.pop("extras")]
+        return payload
 
 
 def _conformance(expected: Sequence, computed: Sequence, witness_of) -> ConformanceReport:
@@ -167,14 +165,6 @@ class Table1Row(Record):
     values: tuple[RootOfUnity, ...]
     mean: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "half_count": self.half_count,
-            "values": [str(v) for v in self.values],
-            "mean": str(self.mean),
-        }
-
 
 def table1() -> tuple[Table1Row, ...]:
     """Minimal half-orbit representatives and their means, one row per listed order."""
@@ -213,27 +203,12 @@ class OrbitClass(Record):
     min_age: Fraction
     chosen: tuple[RootOfUnity, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "members": [[str(v) for v in m] for m in self.members],
-            "min_age": str(self.min_age),
-            "chosen": [str(v) for v in self.chosen],
-        }
-
 
 class AvOrbitResult(Record):
     total: Fraction
     feasible: bool
     classes: tuple[OrbitClass, ...]
     modulus: int
-
-    def to_json(self) -> dict:
-        return {
-            "total": str(self.total),
-            "feasible": self.feasible,
-            "modulus": self.modulus,
-            "classes": [c.to_json() for c in self.classes],
-        }
 
 
 def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
@@ -284,9 +259,6 @@ class SigmaWitness(Record):
 
     modulus: int
     chosen_residues: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus, "chosen_residues": list(self.chosen_residues)}
 
 
 def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
@@ -483,14 +455,9 @@ class MultisetEnumeration(Record):
     refutations: tuple[tuple[Spectrum, Fraction], ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "multisets": [s.to_json() for s in self.multisets],
-            "conformance": self.conformance.to_json(render=lambda t: [str(v) for v in t]),
-            "refutations": [
-                {"multiset": s.to_json(), "orbit_total": str(total)} for s, total in self.refutations
-            ],
-        }
+        payload = super().to_json()
+        payload["refutations"] = [{"multiset": s, "orbit_total": total} for s, total in payload["refutations"]]
+        return payload
 
 
 def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:

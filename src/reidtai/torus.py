@@ -212,14 +212,6 @@ class ExceptionalElement(Record):
     age: Fraction
     fixed_point: tuple[Fraction, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "element": self.element.to_json(),
-            "spectrum": self.spectrum.to_json(),
-            "age": str(self.age),
-            "fixed_point": [str(x) for x in self.fixed_point],
-        }
-
 
 def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     """Elements with a fixed point whose linear-part age lies in (0, 1).
@@ -309,15 +301,9 @@ class FiltrationReport(Record):
     stage_exceptional_counts: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "rank": self.rank,
-            "exceptional_elements": [e.to_json() for e in self.exceptional],
-            "rt_generators": [g.to_json() for g in self.rt_generators],
-            "chain": [s.to_json() for s in self.chain],
-            "verdict": self.verdict,
-            "stage_exceptional_counts": list(self.stage_exceptional_counts),
-        }
+        payload = super().to_json()
+        payload["exceptional_elements"] = payload.pop("exceptional")
+        return payload
 
 
 def filtration(action: TorusAction) -> FiltrationReport:
@@ -380,16 +366,6 @@ class SimpleAvScreenReport(Record):
     extra_survivors: dict[int, Fraction]
     scanned_orders: tuple[int, ...]
     extra_orders: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "dim": self.dim,
-            "survivors": {str(n): str(a) for n, a in sorted(self.survivors.items())},
-            "extra_survivors": {str(n): str(a) for n, a in sorted(self.extra_survivors.items())},
-            "scanned_orders": list(self.scanned_orders),
-            "extra_orders": list(self.extra_orders),
-        }
 
 
 def simple_av_screen(dim: int, d_max: int = 372) -> SimpleAvScreenReport:

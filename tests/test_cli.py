@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from payloads import assert_payload_close
 from reidtai.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -223,6 +224,20 @@ class TestTorusCommands:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: bad input file {bad}: group too large or infinite: cap 1000000 exceeded\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["filtration"], ["av-verdict"], ["verify-witness"], ["deviation", "--matrix"]],
+    ids=["filtration", "av-verdict", "verify-witness", "deviation-matrix"],
+)
+def test_deeply_nested_json_exit_2(command, tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on nesting this deep
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    result = run_cli(*command, str(deep))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: malformed JSON in ") and "Traceback" not in result.stderr
 
 
 class TestWitnessRoundTrip:
@@ -534,6 +549,26 @@ MONOMIAL_TEST_SNAPSHOTS = {
     "monomial-check-1-1-4-reflection-rep-table": ("table", ("--m", "1", "--p", "1", "--n", "4", "--reflection-rep")),
 }
 
+# The other reports, by tests/snapshots name: format and arguments.
+COMMAND_SNAPSHOTS = {
+    "table1-json": ("json", ("table1",)),
+    "age-json": ("json", ("age", "--spectrum", "1/6,1/3")),
+    "rt-check-json": ("json", ("rt-check", "--spectrum", "1/2,1/2", "--spectrum", "1/2,0")),
+    "same-order-screen-10-4-json": ("json", ("same-order-screen", "--n", "10", "--dim", "4")),
+    "simple-av-screen-4-json": ("json", ("simple-av-screen", "--dim", "4")),
+    "simple-av-screen-4-table": ("table", ("simple-av-screen", "--dim", "4")),
+    "imprimitive-cases-json": ("json", ("imprimitive-cases",)),
+}
+
+# JSON reports that carry floats, by tests/snapshots name: the parsed payload is pinned, floats to 1e-12.
+FLOAT_SNAPSHOTS = {
+    "deviation-spectrum-json": ("deviation", "--spectrum", "1/6,1/3"),
+    "deviation-matrix-rotation3-json": (
+        "deviation", "--matrix", str(REPO / "tests" / "inputs" / "deviation" / "rotation3.json"),
+    ),
+    "extraspecial-scan-32-json": ("extraspecial-scan", "--max-dim", "32"),
+}
+
 TORUS_INPUTS = sorted((REPO / "demos" / "inputs").glob("*.json"))
 # The six `bench/torusgen.py` seed-1 inputs whose filtration reaches a quotient stage.
 TORUSGEN_INPUTS = sorted((REPO / "tests" / "inputs").glob("*.json"))
@@ -558,6 +593,19 @@ class TestSnapshots:
         assert main(["--format", fmt, "monomial-check", *args]) == 0
         expected = (REPO / "tests" / "snapshots" / f"{name}.out").read_bytes()
         assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_SNAPSHOTS))
+    def test_command_byte_identical(self, name, capsys):
+        fmt, args = COMMAND_SNAPSHOTS[name]
+        assert main(["--format", fmt, *args]) == 0
+        expected = (REPO / "tests" / "snapshots" / f"{name}.out").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_SNAPSHOTS))
+    def test_float_payload_matches(self, name, capsys):
+        assert main(["--format", "json", *FLOAT_SNAPSHOTS[name]]) == 0
+        expected = json.loads((REPO / "tests" / "snapshots" / f"{name}.out").read_text())
+        assert_payload_close(json.loads(capsys.readouterr().out), expected)
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("command", ["filtration", "av-verdict"])

@@ -7,18 +7,23 @@ class attributes, the same class body the decorator used to read, and the two
 must agree on repr, equality, hashing, construction and immutability.  The
 value classes (group elements and spectra) are records too, with their fields
 in ``__slots__``; a throwaway slotted record checks what the base gives them.
+The same throwaway records pin ``records.json_value``, the one JSON rule
+every report follows.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from payloads import assert_payload_close
 from reidtai import deviation, lattice, monomial, roots, search, torus
 from reidtai.lattice import sublattice_from_rows
 from reidtai.monomial import MonomialGroup, g_group
-from reidtai.records import Record
-from reidtai.roots import unit_classes
+from reidtai.records import Record, json_value
+from reidtai.roots import RootOfUnity, unit_classes
 from reidtai.search import MODE_ORBIT_SETS, MODE_VALUE_UNION, PairDecision, enumerate_exceptional_multisets
 from reidtai.spectra import Spectrum
 from reidtai.torus import AffineTorusMap, closure, exceptional_elements
@@ -294,3 +299,78 @@ def test_a_slotted_record_cannot_be_changed():
         with pytest.raises(AttributeError):
             delattr(p, name)
     assert p == Point(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The JSON rule
+# ---------------------------------------------------------------------------
+
+
+def test_json_value_writes_fractions_and_roots_as_strings():
+    assert json_value(Fraction(-1, 3)) == "-1/3" and json_value(Fraction(4, 2)) == "2"
+    assert json_value(RootOfUnity(7, 6)) == "1/6" and json_value(RootOfUnity(0)) == "0"
+    assert Point(Fraction(1, 2), RootOfUnity(5, 6)).to_json() == {"x": "1/2", "y": "5/6"}
+
+
+def test_json_value_writes_tuples_and_lists_as_lists():
+    value = ((1, Fraction(1, 2)), [(), ("a", RootOfUnity(1, 3))])
+    assert json_value(value) == [[1, "1/2"], [[], ["a", "1/3"]]]
+    assert Label(((0, 1), (2, 3))).to_json() == {"text": [[0, 1], [2, 3]]}
+    assert Empty().to_json() == {}
+
+
+def test_json_value_writes_int_keys_as_strings_in_insertion_order():
+    survivors = json_value({6: Fraction(2, 3), 10: Fraction(4, 5)})
+    assert list(survivors.items()) == [("6", "2/3"), ("10", "4/5")]
+    assert json.dumps(Label({6: 1, 10: 2}).to_json(), sort_keys=True) == '{"text": {"10": 2, "6": 1}}'
+
+
+def test_json_value_writes_a_nested_record_by_its_own_to_json():
+    assert Label(Point(1, Fraction(1, 2))).to_json() == {"text": {"x": 1, "y": "1/2"}}
+    assert Label((Spectrum(["1/2", "0"]),)).to_json() == {"text": [["0", "1/2"]]}
+    shift = AffineTorusMap(((0, 1), (1, 0)), (Fraction(1, 2), 0))
+    assert Point(shift, None).to_json() == {"x": {"matrix": [[0, 1], [1, 0]], "translation": ["1/2", "0"]}, "y": None}
+
+
+def test_json_value_writes_complex_as_a_pair():
+    assert json_value(1.5 - 2j) == [1.5, -2.0] and json_value(1j) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("value", [None, True, False, 0, -7, 2.5, "1/2"])
+def test_json_value_passes_other_values_through(value):
+    assert json_value(value) is value and Label(value).to_json()["text"] is value
+
+
+# ---------------------------------------------------------------------------
+# Reports that no command prints, pinned as the hand-written serializers gave them
+# ---------------------------------------------------------------------------
+
+
+def test_product_bound_report_json_drops_the_thresholds():
+    report = deviation.product_bound_check([np.diag([1j, -1, 1]), np.eye(3)[[1, 0, 2]].astype(complex)])
+    assert report.thresholds
+    assert_payload_close(report.to_json(), {
+        "n_factors": 2,
+        "dimension": 3,
+        "jump_counts": [[0.7071067811865476, 0, 4], [1.7071067811865475, 0, 1], [3.0, 0, 0]],
+        "product_deviation": 2.8284271247461903,
+        "factor_deviation_sum": 6.242640687119286,
+        "ok": True,
+    })
+
+
+def test_tensor_perm_trace_report_json():
+    report = deviation.tensor_perm_trace_check([np.diag([1j, 1, 1]), np.diag([1, 1, -1])])
+    assert_payload_close(report.to_json(), {
+        "n_factors": 2,
+        "dimension": 3,
+        "cyclic_trace": [0.0, 1.0],
+        "product_trace": [0.0, 1.0],
+        "bound": 3.0,
+        "ok": True,
+    })
+
+
+def test_invariant_dimension_report_json():
+    report = deviation.invariant_dimension(g_group(2, 1, 2))
+    assert_payload_close(report.to_json(), {"dimension": 0, "average": 0.0, "witness_index": 3})
