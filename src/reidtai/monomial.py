@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, canonical, generate
+from .groups import GroupTooLargeError, canonical, extension
 from .records import Record
 from .roots import RootOfUnity, over_common_modulus, over_least_modulus
 from .spectra import Spectrum
@@ -208,14 +209,43 @@ class MonomialGroup(Record):
         return g.degree == self.degree and m % g.modulus == 0 and sum(g.phase_numerators) * (m // g.modulus) % p == 0
 
 
+def _extension(elements: Sequence[MonomialElement], bound: int):
+    """``groups.extension`` over the permutations, the diagonal kernel mod m, the lcm of the elements' moduli."""
+    n = elements[0].degree
+    m = math.lcm(*{c.modulus for c in elements})
+
+    def diagonal(y, t):  # y * t^-1 for y, t over one permutation pi: line pi(j) gets k_j(y) - k_j(t), over m
+        fy, ft = m // y.modulus, m // t.modulus
+        return [a * fy - b * ft for _, a, b in sorted(zip(y.permutation, y.phase_numerators, t.phase_numerators))]
+
+    def act(s, v):  # the conjugate by s moves the phase of line j to line pi(s)[j]
+        return [k for _, k in sorted(zip(s.permutation, v))]
+
+    return extension(elements, monomial_identity(n), attrgetter("permutation"), diagonal, act, m, n, bound)
+
+
+def _listed(elements: Sequence[MonomialElement], cap: int) -> tuple[tuple[MonomialElement, ...], tuple]:
+    """The group the elements generate in canonical order, and the elements used; GroupTooLargeError above cap."""
+    result = _extension(elements, max(cap, 1))
+    if result is None:
+        raise GroupTooLargeError.over_cap(cap)
+    lifts, kernel, used = result
+    m, vectors = kernel.m, kernel.vectors()
+    members = []
+    for t in lifts:  # diag(v) * t: line j gets k_j, then moves to line pi(j) and gets v[pi(j)]
+        f = m // t.modulus
+        for v in vectors:
+            nums = [k * f + v[j] for j, k in zip(t.permutation, t.phase_numerators)]
+            members.append(MonomialElement._trusted(t.permutation, *over_least_modulus(nums, m)))
+    return canonical(members, MonomialElement._values), used
+
+
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    degree = gens[0].degree
-    members, _ = generate(gens, monomial_identity(degree), cap)
-    return MonomialGroup(degree, canonical(members, MonomialElement._values), gens)
+    return MonomialGroup(gens[0].degree, _listed(gens, cap)[0], gens)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -274,8 +304,7 @@ def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_00
     """
     if g not in group:
         raise ValueError("element does not belong to the group")
-    members, used = generate(conjugacy_class(g, group), monomial_identity(group.degree), cap)
-    return MonomialGroup(group.degree, canonical(members, MonomialElement._values), used)
+    return MonomialGroup(group.degree, *_listed(conjugacy_class(g, group), cap))
 
 
 # ---------------------------------------------------------------------------
@@ -351,107 +380,14 @@ def _exceptional_candidates(n: int, m: int):
                 yield MonomialElement._trusted(perm, *over_least_modulus(ks, m))
 
 
-class _PhaseSpan:
-    """The subgroup of (Z/m)^n that the added vectors span.
-
-    The rows are an upper-triangular basis of the lattice Λ + m Z^n, Λ the
-    span of the vectors: row i is zero before column i, has a divisor of
-    m at column i and entries in [0, m) after it, and starts as m e_i.
-    An added vector is reduced row by row and, where the pivot does not
-    divide its entry, swapped in by an extended gcd; what is left of it
-    moves on to the later rows.  The subgroup has order m^n / prod(pivots).
-    """
-
-    __slots__ = ("rows", "m", "order")
-
-    def __init__(self, n: int, m: int):
-        self.rows = [[m if j == i else 0 for j in range(n)] for i in range(n)]
-        self.m = m
-        self.order = 1
-
-    def add(self, vector: Sequence[int]) -> None:
-        m, rows = self.m, self.rows
-        v = [x % m for x in vector]
-        changed = False
-        for i, row in enumerate(rows):
-            a = v[i]
-            if not a:
-                continue
-            b = row[i]
-            if a % b:  # x*b + y*a = g = gcd(a, b) becomes the pivot
-                g = math.gcd(a, b)
-                y = pow(a // g, -1, b // g)
-                x = (g - y * a) // b
-                rows[i] = [(x * r + y * w) % m for r, w in zip(row, v)]
-                v = [((b // g) * w - (a // g) * r) % m for r, w in zip(row, v)]
-                changed = True
-            else:
-                q = a // b
-                v = [(w - q * r) % m for r, w in zip(row, v)]
-        if changed:
-            self.order = m ** len(rows) // math.prod(row[i] for i, row in enumerate(rows))
-
-
 def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
     """|N| for N the subgroup the class generates, or group_order once |N| > group_order/2 (then N = G by Lagrange).
 
     |N| = |pi(N)| * |N ∩ D|, pi the map to permutations and D the diagonal
-    subgroup.  pi(N) is walked with a lift in N of each permutation; a
-    member joins the generators only if its permutation is new, and
-    otherwise member * lift^-1 lies in N ∩ D.  By Schreier's lemma N ∩ D
-    is generated by lift(h) * s * lift(h pi(s))^-1 over the walk, together
-    with the conjugates of those diagonal members by N.  N ∩ D is kept as
-    the span of their phase vectors in (Z/L)^n, L the lcm of the class's
-    moduli; conjugation by s permutes a phase vector by pi(s), so the span
-    is closed under the generators' permutations, which generate pi(N).
+    subgroup: the lifts and the kernel of ``groups.extension``.
     """
-    n = cls[0].degree
-    m = math.lcm(*{c.modulus for c in cls})
-    half = group_order // 2
-    span = _PhaseSpan(n, m)
-    full = m**n
-
-    def diagonal(y, t):  # y * t^-1 for y, t over the same permutation, as a phase vector mod m
-        fy, ft, v = m // y.modulus, m // t.modulus, [0] * n
-        for j, ky, kt in zip(y.permutation, y.phase_numerators, t.phase_numerators):
-            v[j] = (ky * fy - kt * ft) % m
-        return v
-
-    identity = monomial_identity(n)
-    lifts = {identity.permutation: identity}
-    points = [identity.permutation]
-    gens: list[MonomialElement] = []
-    for c in cls:
-        t = lifts.get(c.permutation)
-        if t is not None:
-            span.add(diagonal(c, t))
-            continue
-        gens.append(c)
-        old = len(points)
-        for i, h in enumerate(points):  # grows while it is walked; old points meet only the new generator
-            x = lifts[h]
-            for s in gens if i >= old else (c,):
-                y = x.compose(s)
-                t = lifts.get(y.permutation)
-                if t is None:
-                    lifts[y.permutation] = y
-                    points.append(y.permutation)
-                elif span.order < full:
-                    span.add(diagonal(y, t))
-                if len(points) * span.order > half:
-                    return group_order
-    order = 0
-    while order < span.order < full:  # a pass that leaves the order unchanged leaves every row in the span
-        order = span.order
-        for s in gens:  # the conjugate by s moves the phase of line j to line pi(s)[j]
-            for row in span.rows.copy():
-                v = [0] * n
-                for j, k in zip(s.permutation, row):
-                    v[j] = k
-                span.add(v)
-            if len(points) * span.order > half:
-                return group_order
-    return len(points) * span.order
+    result = _extension(cls, group_order // 2)
+    return group_order if result is None else len(result[0]) * result[1].order
 
 
 def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropProdReport:

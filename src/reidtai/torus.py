@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, canonical, generate
+from .groups import GroupTooLargeError, canonical, extension
 from .lattice import (
     _is_reflection,
     _torus_congruence_solver,
@@ -181,29 +182,43 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
     n = gens[0].rank
     if any(g.rank != n for g in gens):
         raise ValueError("generators must share a rank")
-    orders = [matrix_order(g.linear) for g in gens]
-    if None in orders:
+    if any(matrix_order(g.linear) is None for g in gens):
         raise ValueError("generator linear part has infinite order")
-    # g^k is the translation by x/d = (t + Mt + ... + M^(k-1)t)/d, so g has order k * (the order of x/d).
-    # The translations x/d generate the subgroup (L + D Z^n) / D Z^n, L the row lattice of the numerators
-    # over a common denominator D; with L's Smith diagonal e_i its order is the product of D / gcd(D, e_i).
-    # Each generator's order and that subgroup's order divide the group order (Lagrange), so a divisor
-    # above cap dooms the closure; generate lets a trivial group through whatever the cap.
-    divisor = 1
-    common = math.lcm(*(g.denominator for g in gens))
-    rows = []
-    for g, k in zip(gens, orders):
-        d = g.denominator
-        x = (0,) * n
-        for _ in range(k):
-            x = tuple((y + t) % d for y, t in zip(mat_vec(g.linear, x), g.numerators))
-        divisor = math.lcm(divisor, k * (d // math.gcd(d, *x)))
-        rows.append([y * (common // d) for y in x])
-    divisor = math.lcm(divisor, math.prod(common // math.gcd(common, e) for e in snf(rows).diagonal))
-    if divisor > max(cap, 1):
+    d = math.lcm(*(g.denominator for g in gens))
+
+    def defect(y, t):  # y * t^-1, the translation by the difference of the two translations, over d
+        fy, ft = d // y.denominator, d // t.denominator
+        return [a * fy - b * ft for a, b in zip(y.numerators, t.numerators)]
+
+    # a finite group's linear image has order dividing M(n), and its translations lie in (Z/d)^n
+    bound = min(max(cap, 1), _minkowski(n) * d**n)
+    # conjugating x -> x + v by s gives x -> x + M_s v
+    result = extension(
+        gens, affine_identity(n), attrgetter("linear"), defect, lambda s, v: mat_vec(s.linear, v), d, n, bound
+    )
+    if result is None:
         raise GroupTooLargeError.over_cap(cap)
-    members, _ = generate(gens, affine_identity(n), cap)
+    lifts, kernel, _ = result
+    vectors = kernel.vectors()
+    members = [AffineTorusMap._trusted(t.linear, [k * (d // t.denominator) + x for k, x in zip(t.numerators, v)], d)
+               for t in lifts for v in vectors]
     return TorusAction(n, canonical(members, AffineTorusMap._values), gens)
+
+
+def _minkowski(n: int) -> int:
+    """Minkowski's bound M(n): the order of every finite subgroup of GL(n, Z) divides it.
+
+    M(n) = prod over primes p of p^e, e = sum over k >= 0 of floor(n / (p^k (p - 1))).
+    """
+    bound = 1
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, p)):
+            e, q = 0, p - 1
+            while q <= n:
+                e += n // q
+                q *= p
+            bound *= p**e
+    return bound
 
 
 class ExceptionalElement(Record):
@@ -280,16 +295,14 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
     v = snf(sub.basis).v
     q = transpose(unimodular_inverse(v))
     qinv = transpose(v)
-    induced = {}
-    for linear, run in groupby(action.elements, key=lambda g: g.linear):
-        m2 = mat_mul(mat_mul(qinv, linear), q)
+    images = []
+    for g in action.generators:  # a sublattice stable under the generators is stable under the group
+        m2 = mat_mul(mat_mul(qinv, g.linear), q)
         if any(m2[i][j] != 0 for i in range(r, n) for j in range(r)):
             raise ArithmeticError("sublattice is not stable under the action")
         block = tuple(row[r:] for row in m2[r:])
-        for g in run:
-            induced[g] = AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator)
-    elements = canonical(set(induced.values()), AffineTorusMap._values)
-    return TorusAction(n - r, elements, tuple(induced[g] for g in action.generators)), q
+        images.append(AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator))
+    return closure(images, cap=action.order), q
 
 
 class FiltrationReport(Record):

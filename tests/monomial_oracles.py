@@ -2,11 +2,11 @@
 
 ``listing_scan`` is a second path to ``prop_prod_check``: it lists the
 group, computes the age of every element from its cycles, and closes each
-exceptional class with ``groups.generate``.  ``span_order`` is a second
+exceptional class with ``group_oracles.generate``.  ``span_order`` is a second
 path to the phase span: it adds vectors in (Z/m)^n until the set is closed.
 """
 
-from reidtai.groups import generate
+from group_oracles import generate
 from reidtai.monomial import (
     ExceptionalClassEntry,
     PropProdReport,

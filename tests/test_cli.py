@@ -213,8 +213,12 @@ class TestTorusCommands:
             {"rank": 2, "generators": [
                 {"matrix": [[1, 0], [0, 1]], "translation": ["1/1009", "0"]},
                 {"matrix": [[1, 0], [0, 1]], "translation": ["0", "1/1009"]}]},
+            # two involutions whose product has infinite order: an infinite group of finite-order generators
+            {"rank": 2, "generators": [
+                {"matrix": [[-1, 0], [0, 1]], "translation": ["0", "0"]},
+                {"matrix": [[1, 0], [1, -1]], "translation": ["0", "0"]}]},
         ],
-        ids=["one-generator", "lcm-of-two", "translations-of-two"],
+        ids=["one-generator", "lcm-of-two", "translations-of-two", "infinite-of-two-involutions"],
     )
     def test_generator_orders_above_cap_exit_2_at_once(self, payload, tmp_path):
         # closing either group would compose a million elements before the cap stops it
@@ -570,7 +574,8 @@ FLOAT_SNAPSHOTS = {
 }
 
 TORUS_INPUTS = sorted((REPO / "demos" / "inputs").glob("*.json"))
-# The six `bench/torusgen.py` seed-1 inputs whose filtration reaches a quotient stage.
+# The sixteen `bench/torusgen.py` seed-1 inputs: six whose filtration reaches a quotient stage, and the
+# signed-permutation, Kummer and cycle inputs, which have the largest linear images and translation groups.
 TORUSGEN_INPUTS = sorted((REPO / "tests" / "inputs").glob("*.json"))
 
 

@@ -5,6 +5,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from group_oracles import generate
 
 from reidtai import groups, monomial, torus
 from reidtai.lattice import identity
@@ -102,7 +103,7 @@ def test_normal_closure_generators_are_irredundant():
 def test_generate_skips_redundant_elements():
     g = MonomialElement((1, 2, 0), (0, 0, 0), 1)  # a 3-cycle
     g2 = g.compose(g)
-    members, used = groups.generate([g, g2, g], monomial.monomial_identity(3), 10)
+    members, used = generate([g, g2, g], monomial.monomial_identity(3), 10)
     assert used == (g,)
     assert sorted(members, key=MonomialElement.sort_key) == sorted(
         [monomial.monomial_identity(3), g, g2], key=MonomialElement.sort_key
@@ -149,3 +150,99 @@ def test_canonical_is_sort_key_order_for_monomial_elements(elements):
 def test_canonical_is_sort_key_order_for_torus_maps(maps):
     parts = attrgetter("linear", "numerators", "denominator")
     assert groups.canonical(maps, parts) == tuple(sorted(maps, key=AffineTorusMap.sort_key))
+
+
+# ``groups.extension`` against Dimino over whole elements (tests/group_oracles.py), at caps from 0 up.
+# The torus pool holds rank-2 linear parts of order 3, 4 and 6 that are not signed permutations, and two
+# involutions whose product has infinite order.
+_RANK2_LINEARS = (
+    ((1, 0), (0, 1)),
+    ((-1, 0), (0, -1)),
+    ((0, -1), (1, -1)),  # order 3
+    ((1, -2), (1, -1)),  # order 4
+    ((1, -1), (1, 0)),  # order 6
+    ((0, 1), (1, 0)),
+    ((-1, 0), (0, 1)),
+    ((1, 0), (1, -1)),
+)
+
+
+def _oracle(elements, identity, cap):
+    """(canonical members, used) from Dimino over whole elements, or the GroupTooLargeError text."""
+    try:
+        members, used = generate(elements, identity, cap)
+    except groups.GroupTooLargeError as e:
+        return str(e)
+    return groups.canonical(members, type(identity)._values), used
+
+
+def _caps(rng, full):
+    """Caps from 0 up around the order; a group above the oracle's cap of 1000 gets the caps below it."""
+    order = 1001 if isinstance(full, str) else len(full[0])
+    return sorted({0, 1, 2, order - 1, order, order + 1, rng.randint(0, order + 1)} - {-1, 1002})
+
+
+def _random_monomial(rng, n):
+    m = rng.randint(1, 6)
+    return MonomialElement(tuple(rng.sample(range(n), n)), tuple(rng.randrange(m) for _ in range(n)), m)
+
+
+def test_monomial_closure_matches_the_dimino_oracle():
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [_random_monomial(rng, n) for _ in range(rng.randint(1, 3))]
+        ident = monomial.monomial_identity(n)
+        for cap in _caps(rng, _oracle(gens, ident, 1000)):
+            expected = _oracle(gens, ident, cap)
+            try:
+                got = monomial_closure(gens, cap=cap).elements
+            except groups.GroupTooLargeError as e:
+                got = str(e)
+            assert got == (expected if isinstance(expected, str) else expected[0]), (gens, cap)
+
+
+def _normal_closure_cases(rng):
+    # diagonal classes: every member lies over the identity permutation, the known-head branch
+    for m, p, n, phases in [(4, 1, 3, (1, 0, 0)), (6, 2, 3, (1, 5, 0)), (6, 1, 2, (2, 0)), (3, 3, 3, (1, 2, 0))]:
+        group = g_group(m, p, n)
+        yield group, MonomialElement(tuple(range(n)), phases, m)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        group = monomial_closure([_random_monomial(rng, n) for _ in range(rng.randint(1, 3))])
+        yield group, rng.choice(group.elements)
+
+
+def test_normal_closure_matches_the_dimino_oracle():
+    rng = random.Random(22)
+    for group, g in _normal_closure_cases(rng):
+        cls = conjugacy_class(g, group)
+        ident = monomial.monomial_identity(group.degree)
+        for cap in _caps(rng, _oracle(cls, ident, 1000)):
+            expected = _oracle(cls, ident, cap)
+            try:
+                closed = normal_closure(g, group, cap=cap)
+                got = (closed.elements, closed.generators)
+            except groups.GroupTooLargeError as e:
+                got = str(e)
+            assert got == expected, (g, cap)
+
+
+def test_torus_closure_matches_the_dimino_oracle():
+    rng = random.Random(23)
+    infinite = 0
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 4)
+            gens.append(AffineTorusMap(rng.choice(_RANK2_LINEARS), (F(rng.randrange(d), d), F(rng.randrange(d), d))))
+        full = _oracle(gens, affine_identity(2), 1000)
+        infinite += isinstance(full, str)
+        for cap in _caps(rng, full):
+            expected = _oracle(gens, affine_identity(2), cap)
+            try:
+                got = closure(gens, cap=cap).elements
+            except groups.GroupTooLargeError as e:
+                got = str(e)
+            assert got == (expected if isinstance(expected, str) else expected[0]), (gens, cap)
+    assert infinite >= 5

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from monomial_oracles import listing_scan, span_order
 
 from reidtai.deviation import monomial_matrix
+from reidtai.groups import _PhaseSpan
 from reidtai.monomial import (
     GroupTooLargeError,
     MonomialElement,
     MonomialGroup,
     _closure_order,
-    _PhaseSpan,
     conjugacy_class,
     g_group,
     g_group_order,

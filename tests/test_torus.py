@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from group_oracles import generate
 from hypothesis import strategies as st
 from test_lattice import _rank_of_m_minus_i
 
@@ -20,6 +21,8 @@ from reidtai.torus import (
     UNIRULED_NOT_RC,
     AffineTorusMap,
     GroupTooLargeError,
+    _minkowski,
+    affine_identity,
     closure,
     exceptional_elements,
     filtration,
@@ -138,7 +141,7 @@ class TestClosure:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.data())
     def test_closure_at_a_cap_equal_to_the_order(self, data):
-        """What closure bounds before composing (generator orders, translation subgroup) divides the group order."""
+        """A cap equal to the order lets the group through and one below it refuses the group."""
         n = data.draw(st.integers(1, 3))
         cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
         flip = [[-int(i == j == 0) or int(i == j) for j in range(n)] for i in range(n)]
@@ -148,10 +151,26 @@ class TestClosure:
             st.builds(amap, st.sampled_from(linears), st.lists(fractions, min_size=n, max_size=n)),
             min_size=1, max_size=3))
         action = closure(gens)
+        members, _ = generate(gens, affine_identity(n), 10**6)
+        assert action.elements == tuple(sorted(members, key=AffineTorusMap.sort_key))
         assert closure(gens, cap=action.order).elements == action.elements
         if action.order > 1:
             with pytest.raises(GroupTooLargeError):
                 closure(gens, cap=action.order - 1)
+
+    def test_minkowski_bound(self):
+        assert [_minkowski(n) for n in range(1, 6)] == [2, 24, 48, 5760, 11520]
+
+    def test_infinite_group_of_finite_order_generators_stops_at_the_minkowski_bound(self, monkeypatch):
+        # two involutions whose product [[-1, 0], [1, -1]] has infinite order
+        gens = [amap([[-1, 0], [0, 1]]), amap([[1, 0], [1, -1]])]
+        calls = []
+        original = AffineTorusMap.compose
+        monkeypatch.setattr(AffineTorusMap, "compose", lambda a, b: calls.append(1) or original(a, b))
+        with pytest.raises(GroupTooLargeError, match="^group too large or infinite: cap 1000000 exceeded$"):
+            closure(gens)
+        # the walk passes M(2) * 1^2 = 24 linear parts, not the cap of a million elements
+        assert len(calls) <= 100
 
     def test_closed_under_composition_and_inverse(self):
         action = s3_pm1()
@@ -486,6 +505,13 @@ class TestSpectrumTraceOracle:
         # the theorem exceptional_elements rests on: -1 adds 1/2 to the age, a conjugate pair adds 1
         for linear in {g.linear for g in _load_action(path).elements}:
             assert cyclotomic_spectrum(linear).age() == Fraction(_rank_of_m_minus_i(linear), 2), linear
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+def test_closure_matches_dimino_over_whole_elements(path):
+    gens = [AffineTorusMap.from_json(g) for g in json.loads(path.read_text())["generators"]]
+    members, _ = generate(gens, affine_identity(gens[0].rank), 10**6)
+    assert closure(gens).elements == tuple(sorted(members, key=AffineTorusMap.sort_key))
 
 
 def _torusgen_seed1_inputs(directory, monkeypatch):
