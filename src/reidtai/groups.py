@@ -25,7 +25,7 @@ class GroupTooLargeError(RuntimeError):
         return cls(f"group too large or infinite: cap {cap} exceeded")
 
 
-class _PhaseSpan:
+class _KernelSpan:
     """The subgroup of (Z/m)^n that the added vectors span.
 
     The rows are an upper-triangular basis of the lattice Λ + m Z^n, Λ the
@@ -78,7 +78,7 @@ class _PhaseSpan:
 
 def extension(
     elements: Iterable, identity, head: Callable, defect: Callable, act: Callable, m: int, n: int, bound: int
-) -> tuple[list, _PhaseSpan, tuple] | None:
+) -> tuple[list, _KernelSpan, tuple] | None:
     """The group G the elements generate, as (lifts, kernel, used); None once it has more than bound members.
 
     An element needs ``compose`` (the group product).  head(g) is its
@@ -119,7 +119,7 @@ def extension(
     s^-1 is a power of s), and S = G with |G| = len(lifts) * |K|.
     """
     lifts = {head(identity): identity}
-    span = _PhaseSpan(n, m)
+    span = _KernelSpan(n, m)
     used: list = []
     full = m**n
     for c in elements:

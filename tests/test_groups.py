@@ -167,13 +167,26 @@ _RANK2_LINEARS = (
 )
 
 
-def _oracle(elements, identity, cap):
-    """(canonical members, used) from Dimino over whole elements, or the GroupTooLargeError text."""
+def _outcome(close):
+    """close() or the GroupTooLargeError text."""
     try:
-        members, used = generate(elements, identity, cap)
+        return close()
     except groups.GroupTooLargeError as e:
         return str(e)
-    return groups.canonical(members, type(identity)._values), used
+
+
+def _oracle(elements, identity, cap):
+    """(canonical members, used) from Dimino over whole elements, or the GroupTooLargeError text."""
+
+    def close():
+        members, used = generate(elements, identity, cap)
+        return groups.canonical(members, type(identity)._values), used
+
+    return _outcome(close)
+
+
+def _members(oracle):
+    return oracle if isinstance(oracle, str) else oracle[0]
 
 
 def _caps(rng, full):
@@ -194,12 +207,8 @@ def test_monomial_closure_matches_the_dimino_oracle():
         gens = [_random_monomial(rng, n) for _ in range(rng.randint(1, 3))]
         ident = monomial.monomial_identity(n)
         for cap in _caps(rng, _oracle(gens, ident, 1000)):
-            expected = _oracle(gens, ident, cap)
-            try:
-                got = monomial_closure(gens, cap=cap).elements
-            except groups.GroupTooLargeError as e:
-                got = str(e)
-            assert got == (expected if isinstance(expected, str) else expected[0]), (gens, cap)
+            got = _outcome(lambda: monomial_closure(gens, cap=cap).elements)
+            assert got == _members(_oracle(gens, ident, cap)), (gens, cap)
 
 
 def _normal_closure_cases(rng):
@@ -219,30 +228,22 @@ def test_normal_closure_matches_the_dimino_oracle():
         cls = conjugacy_class(g, group)
         ident = monomial.monomial_identity(group.degree)
         for cap in _caps(rng, _oracle(cls, ident, 1000)):
-            expected = _oracle(cls, ident, cap)
-            try:
-                closed = normal_closure(g, group, cap=cap)
-                got = (closed.elements, closed.generators)
-            except groups.GroupTooLargeError as e:
-                got = str(e)
-            assert got == expected, (g, cap)
+            closed = _outcome(lambda: normal_closure(g, group, cap=cap))
+            got = closed if isinstance(closed, str) else (closed.elements, closed.generators)
+            assert got == _oracle(cls, ident, cap), (g, cap)
 
 
 def test_torus_closure_matches_the_dimino_oracle():
     rng = random.Random(23)
-    infinite = 0
+    above_oracle_cap = 0  # the infinite groups among them
     for _ in range(60):
         gens = []
         for _ in range(rng.randint(1, 3)):
             d = rng.randint(1, 4)
             gens.append(AffineTorusMap(rng.choice(_RANK2_LINEARS), (F(rng.randrange(d), d), F(rng.randrange(d), d))))
         full = _oracle(gens, affine_identity(2), 1000)
-        infinite += isinstance(full, str)
+        above_oracle_cap += isinstance(full, str)
         for cap in _caps(rng, full):
-            expected = _oracle(gens, affine_identity(2), cap)
-            try:
-                got = closure(gens, cap=cap).elements
-            except groups.GroupTooLargeError as e:
-                got = str(e)
-            assert got == (expected if isinstance(expected, str) else expected[0]), (gens, cap)
-    assert infinite >= 5
+            got = _outcome(lambda: closure(gens, cap=cap).elements)
+            assert got == _members(_oracle(gens, affine_identity(2), cap)), (gens, cap)
+    assert above_oracle_cap >= 5

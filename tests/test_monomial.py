@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from monomial_oracles import listing_scan, span_order
 
 from reidtai.deviation import monomial_matrix
-from reidtai.groups import _PhaseSpan
+from reidtai.groups import _KernelSpan
 from reidtai.monomial import (
     GroupTooLargeError,
     MonomialElement,
@@ -317,7 +317,7 @@ class TestPropProdAgainstTheListing:
 
 
 def _assert_span_matches(vectors, n, m):
-    span = _PhaseSpan(n, m)
+    span = _KernelSpan(n, m)
     for v in vectors:
         span.add(v)
     for i, row in enumerate(span.rows):

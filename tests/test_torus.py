@@ -509,23 +509,33 @@ class TestSpectrumTraceOracle:
 
 @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
 def test_closure_matches_dimino_over_whole_elements(path):
+    _assert_closure_matches_dimino(path)
+
+
+def _assert_closure_matches_dimino(path):
     gens = [AffineTorusMap.from_json(g) for g in json.loads(path.read_text())["generators"]]
     members, _ = generate(gens, affine_identity(gens[0].rank), 10**6)
-    assert closure(gens).elements == tuple(sorted(members, key=AffineTorusMap.sort_key))
+    assert closure(gens).elements == tuple(sorted(members, key=AffineTorusMap.sort_key)), path.name
 
 
-def _torusgen_seed1_inputs(directory, monkeypatch):
-    """The 16 seed-1 inputs of the torus-quotient benchmark, written by `bench/torusgen.py` into directory."""
+def _torusgen_inputs(seed, directory, monkeypatch):
+    """The 16 inputs of the torus-quotient benchmark at seed, written by `bench/torusgen.py` into directory."""
     spec = importlib.util.spec_from_file_location("bench_torusgen", REPO / "bench" / "torusgen.py")
     torusgen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, torusgen)  # its dataclass looks its module up there
     spec.loader.exec_module(torusgen)
-    return [Path(inp.path) for inp in torusgen.generate(1, directory)]
+    return [Path(inp.path) for inp in torusgen.generate(seed, directory)]
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_closure_matches_dimino_over_whole_elements_on_torusgen_seeds(seed, tmp_path, monkeypatch):
+    for path in _torusgen_inputs(seed, tmp_path, monkeypatch):
+        _assert_closure_matches_dimino(path)
 
 
 def test_rank_one_test_matches_the_smith_form_on_every_linear_part(tmp_path, monkeypatch):
     """_is_reflection decides exceptional_elements; check it on every linear part of every shipped input."""
-    paths = DEMO_INPUTS + TORUSGEN_INPUTS + _torusgen_seed1_inputs(tmp_path, monkeypatch)
+    paths = DEMO_INPUTS + TORUSGEN_INPUTS + _torusgen_inputs(1, tmp_path, monkeypatch)
     linears = {g.linear for path in paths for g in _load_action(path).elements}
     assert sum(map(_is_reflection, linears)) > 0
     for linear in linears:
