@@ -8,12 +8,8 @@ group generated by the conjugacy class of an exceptional element, that
 element's permutation part must be a transposition.
 """
 
-from reidtai.monomial import (
-    g_group,
-    imprimitive_classification,
-    normal_closure,
-    prop_prod_check,
-)
+from reidtai.imprimitive import imprimitive_classification
+from reidtai.monomial import g_group, normal_closure, prop_prod_check
 
 for (m, p, n) in [(1, 1, 4), (2, 1, 3), (3, 1, 2), (4, 4, 2)]:
     group = g_group(m, p, n)

@@ -44,12 +44,12 @@ _EXPORTS = {
         "MonomialElement",
         "MonomialGroup",
         "g_group",
-        "imprimitive_classification",
         "monomial_closure",
         "normal_closure",
         "prop_prod_check",
         "spectrum_of",
     ),
+    "imprimitive": ("imprimitive_classification",),
     "torus": (
         "KODAIRA_ZERO",
         "RATIONALLY_CONNECTED",

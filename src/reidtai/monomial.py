@@ -22,7 +22,6 @@ from .roots import RootOfUnity, over_common_modulus, over_least_modulus
 from .spectra import Spectrum
 
 __all__ = [
-    "CaseRecord",
     "ExceptionalClassEntry",
     "GroupTooLargeError",
     "MonomialElement",
@@ -31,7 +30,6 @@ __all__ = [
     "conjugacy_class",
     "g_group",
     "g_group_order",
-    "imprimitive_classification",
     "monomial_closure",
     "monomial_identity",
     "normal_closure",
@@ -279,15 +277,31 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
 
 
 def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialElement, ...]:
-    """Orbit of g under conjugation by the group's generators."""
-    gens = [(h, h.inverse()) for h in group.generators]
+    """Orbit of g under conjugation by the group's generators.
+
+    Each conjugate is built in one pass: for h = (s, a) and x = (t, k),
+    h x h^-1 has permutation s t s^-1, and line i, with j = s^-1(i), gets
+    the phase a[t(j)] + k[j] - a[j] over lcm(m_h, m_x).
+    """
+    gens = []
+    for h in group.generators:
+        s = h.permutation
+        s_inv = [0] * len(s)
+        for j, img in enumerate(s):
+            s_inv[img] = j
+        gens.append((s, s_inv, h.phase_numerators, h.modulus))
     seen = {g}
     frontier = [g]
     while frontier:
         new = []
         for x in frontier:
-            for h, hinv in gens:
-                y = h.compose(x).compose(hinv)
+            t, k, mx = x.permutation, x.phase_numerators, x.modulus
+            for s, s_inv, a, mh in gens:
+                m = math.lcm(mh, mx)
+                fa, fk = m // mh, m // mx
+                perm = tuple([s[t[j]] for j in s_inv])
+                nums = [(a[t[j]] - a[j]) * fa + k[j] * fk for j in s_inv]
+                y = MonomialElement._trusted(perm, *over_least_modulus(nums, m))
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -436,85 +450,3 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropP
     )
     return PropProdReport(group.degree, group.order, reflection_rep, tuple(entries), violations)
 
-
-# ---------------------------------------------------------------------------
-# The imprimitive case analysis
-# ---------------------------------------------------------------------------
-
-
-class CaseRecord(Record):
-    label: str
-    swap_value: RootOfUnity
-    extra: RootOfUnity | None
-    spectrum: Spectrum
-    square_spectrum: Spectrum
-    square_age: Fraction
-    eliminated: bool
-    reason: str
-
-
-def imprimitive_case_candidates() -> tuple[tuple[RootOfUnity, RootOfUnity | None], ...]:
-    """Candidate (swap eigenvalue r, optional extra diagonal eigenvalue) pairs.
-
-    A line-swapping exceptional element contributes eigenvalues e(r) and
-    e(r + 1/2), so {r, r + 1/2} must be a classified pair with sum < 1
-    (giving r = 1/6 and r = 1/8) or the pair {1, -1} (r = 0).  For r = 0
-    an extra diagonal eigenvalue v is allowed when {1/2, v} is itself a
-    classified pair.
-    """
-    from .search import REFERENCE_PAIRS
-
-    half = Fraction(1, 2)
-    swap_rs = [RootOfUnity(0)]
-    extras: list[RootOfUnity] = []
-    for pair in REFERENCE_PAIRS:
-        lo, hi = pair
-        if hi - lo == half and lo + hi < 1:
-            swap_rs.append(lo)
-        if hi == half:
-            extras.append(lo)
-        if lo == half:
-            extras.append(hi)
-    candidates: list[tuple[RootOfUnity, RootOfUnity | None]] = [(RootOfUnity(0), None)]
-    for v in sorted(extras):
-        candidates.append((RootOfUnity(0), v))
-    for r in sorted(swap_rs):
-        if r != 0:
-            candidates.append((r, None))
-    return tuple(candidates)
-
-
-def imprimitive_classification() -> tuple[CaseRecord, ...]:
-    """Candidate line-swapping exceptional elements and the square test.
-
-    The square of a line-swapper stabilizes every line; if that square is
-    still exceptional it would itself have to swap lines, a contradiction.
-    The only candidate surviving the test is the reflection -1, 1, ..., 1.
-    """
-    records = []
-    for idx, (r, extra) in enumerate(imprimitive_case_candidates()):
-        values = [r, RootOfUnity(r + Fraction(1, 2))]
-        if extra is not None:
-            values.append(extra)
-        values.append(RootOfUnity(0))  # one representative fixed line
-        spec = Spectrum(values)
-        square = spec.power(2)
-        square_age = square.age()
-        eliminated = square.is_exceptional()
-        if eliminated:
-            reason = "square is exceptional but stabilizes all lines"
-        else:
-            reason = "survives: reflection with eigenvalues -1, 1, ..., 1"
-        records.append(
-            CaseRecord(
-                label=chr(ord("A") + idx),
-                swap_value=r,
-                extra=extra,
-                spectrum=spec,
-                square_spectrum=square,
-                square_age=square_age,
-                eliminated=eliminated,
-                reason=reason,
-            )
-        )
-    return tuple(records)

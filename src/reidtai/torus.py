@@ -184,6 +184,12 @@ def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> Torus
         raise ValueError("generators must share a rank")
     if any(matrix_order(g.linear) is None for g in gens):
         raise ValueError("generator linear part has infinite order")
+    return _closed(gens, cap)
+
+
+def _closed(gens: tuple[AffineTorusMap, ...], cap: int) -> TorusAction:
+    """``closure`` of maps of one rank whose linear parts have finite order, without checking either."""
+    n = gens[0].rank
     d = math.lcm(*(g.denominator for g in gens))
 
     def defect(y, t):  # y * t^-1, the translation by the difference of the two translations, over d
@@ -302,7 +308,8 @@ def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction,
             raise ArithmeticError("sublattice is not stable under the action")
         block = tuple(row[r:] for row in m2[r:])
         images.append(AffineTorusMap._trusted(block, mat_vec(qinv[r:], g.numerators), g.denominator))
-    return closure(images, cap=action.order), q
+    # images of a finite group's generators: one rank, linear parts of finite order
+    return _closed(tuple(images), action.order), q
 
 
 class FiltrationReport(Record):

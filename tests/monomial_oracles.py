@@ -2,20 +2,40 @@
 
 ``listing_scan`` is a second path to ``prop_prod_check``: it lists the
 group, computes the age of every element from its cycles, and closes each
-exceptional class with ``group_oracles.generate``.  ``span_order`` is a second
-path to the phase span: it adds vectors in (Z/m)^n until the set is closed.
+exceptional class with ``group_oracles.generate``.  ``compose_class`` is a
+second path to ``conjugacy_class``: it conjugates with two ``compose`` calls.
+``span_order`` is a second path to the phase span: it adds vectors in
+(Z/m)^n until the set is closed.
 """
 
 from group_oracles import generate
+from reidtai.groups import canonical
 from reidtai.monomial import (
     ExceptionalClassEntry,
+    MonomialElement,
     PropProdReport,
-    conjugacy_class,
     monomial_identity,
     spectrum_of,
 )
 from reidtai.roots import RootOfUnity
 from reidtai.spectra import Spectrum
+
+
+def compose_class(g, group) -> tuple:
+    """The orbit of g under conjugation by the group's generators, each conjugate h * g * h^-1 by ``compose``."""
+    gens = [(h, h.inverse()) for h in group.generators]
+    seen = {g}
+    frontier = [g]
+    while frontier:
+        new = []
+        for x in frontier:
+            for h, hinv in gens:
+                y = h.compose(x).compose(hinv)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return canonical(seen, MonomialElement._values)
 
 
 def listing_scan(group, reflection_rep: bool = False) -> PropProdReport:
@@ -36,7 +56,7 @@ def listing_scan(group, reflection_rep: bool = False) -> PropProdReport:
     for g in exceptional:
         if g in assigned:
             continue
-        cls = conjugacy_class(g, group)
+        cls = compose_class(g, group)
         assigned.update(cls)
         closure_order = len(generate(cls, monomial_identity(group.degree), group.order)[0])
         spec = spectrum_of(cls[0])

@@ -25,7 +25,8 @@ from reidtai.lattice import (
     snf,
     solve_torus_congruence,
 )
-from reidtai.monomial import g_group, g_group_order, imprimitive_classification, prop_prod_check
+from reidtai.imprimitive import imprimitive_classification
+from reidtai.monomial import g_group, g_group_order, prop_prod_check
 from reidtai.roots import RootOfUnity
 from reidtai.search import (
     CONFIRMED_ORDERS,

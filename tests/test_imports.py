@@ -1,5 +1,7 @@
 """The package namespace, and which modules each subcommand loads in a fresh process."""
 
+import argparse
+import ast
 import importlib
 import json
 import subprocess
@@ -22,8 +24,9 @@ PUBLIC = {
     "search": ("MODE_ORBIT_SETS", "MODE_VALUE_UNION", "av_orbit_feasibility", "classify_pairs",
                "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order", "min_halforbit_sum",
                "pair_feasible", "table1"),
-    "monomial": ("MonomialElement", "MonomialGroup", "g_group", "imprimitive_classification", "monomial_closure",
-                 "normal_closure", "prop_prod_check", "spectrum_of"),
+    "monomial": ("MonomialElement", "MonomialGroup", "g_group", "monomial_closure", "normal_closure",
+                 "prop_prod_check", "spectrum_of"),
+    "imprimitive": ("imprimitive_classification",),
     "torus": ("KODAIRA_ZERO", "RATIONALLY_CONNECTED", "UNIRULED_NOT_RC", "AffineTorusMap", "TorusAction", "closure",
               "exceptional_elements", "filtration", "rt_subgroup", "rt_tangent_sublattice", "simple_av_screen",
               "verdict"),
@@ -97,7 +100,7 @@ watched = ("numpy", "dataclasses", "inspect")
 print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m in watched or m.startswith("reidtai."))}))
 """
 
-SEARCH_ONLY = ("deviation", "golden", "monomial", "torus", "lattice")
+SEARCH_ONLY = ("deviation", "golden", "groups", "imprimitive", "monomial", "torus", "lattice")
 # Start-up cost that no engine command pays: the report records and group elements are plain classes.
 STDLIB_NOT_LOADED = {"dataclasses", "inspect"}
 
@@ -115,15 +118,17 @@ def loaded_modules(*argv: str) -> set[str]:
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        ((), ("deviation", "golden", "monomial", "torus", "lattice", "search")),
-        (("filtration", KUMMER), ("deviation", "golden", "monomial", "search")),
-        (("av-verdict", KUMMER), ("deviation", "golden", "monomial", "search")),
-        (("monomial-check", "--m", "2", "--p", "1", "--n", "3"), ("deviation", "golden", "torus", "lattice", "search")),
+        ((), ("deviation", "golden", "groups", "imprimitive", "monomial", "torus", "lattice", "search")),
+        (("filtration", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "search")),
+        (("av-verdict", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "search")),
+        (("monomial-check", "--m", "2", "--p", "1", "--n", "3"),
+         ("deviation", "golden", "imprimitive", "torus", "lattice", "search")),
         (("orders-scan", "--bound", "30"), SEARCH_ONLY),
         (("pair-search", "--f-max", "12"), SEARCH_ONLY),
         (("multisets", "--f-max", "12", "--mode", "orbit-sets"), SEARCH_ONLY),
+        (("age", "--spectrum", "1/6,1/3"), SEARCH_ONLY + ("search",)),
     ],
-    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "pair-search", "multisets"],
+    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "pair-search", "multisets", "age"],
 )
 def test_command_loads_only_its_engine(argv, absent):
     modules = loaded_modules(*argv)
@@ -138,7 +143,8 @@ def test_verify_witness_loads_no_engine(tmp_path):
     modules = loaded_modules("verify-witness", str(wfile))
     assert "reidtai.witness" in modules and "numpy" not in modules
     assert modules.isdisjoint(STDLIB_NOT_LOADED)
-    engines = ("search", "spectra", "roots", "lattice", "monomial", "torus", "deviation", "golden")
+    engines = ("search", "spectra", "roots", "lattice", "groups", "monomial", "imprimitive", "torus", "deviation",
+               "golden")
     assert modules.isdisjoint(f"reidtai.{name}" for name in engines)
 
 
@@ -148,3 +154,92 @@ def test_verify_witness_loads_no_engine(tmp_path):
 )
 def test_numeric_commands_load_numpy(argv):
     assert {"numpy", "reidtai.deviation"} <= loaded_modules(*argv)
+
+
+@pytest.mark.parametrize(
+    "argv,family",
+    [
+        (("age", "--spectrum", "1/6,1/3"), "spectra"),
+        (("orders-scan", "--bound", "30"), "search"),
+        (("filtration", KUMMER), "torus"),
+        (("monomial-check", "--m", "2", "--p", "1", "--n", "3"), "monomial"),
+        (("imprimitive-cases",), "monomial"),
+    ],
+    ids=["age", "orders-scan", "filtration", "monomial-check", "imprimitive-cases"],
+)
+def test_command_compiles_only_its_handler_family(argv, family):
+    handlers = {m for m in loaded_modules(*argv) if m.startswith("reidtai.commands.")}
+    assert handlers == {f"reidtai.commands.{family}"}
+
+
+def test_imprimitive_cases_loads_no_group_engine():
+    modules = loaded_modules("imprimitive-cases")
+    assert "reidtai.imprimitive" in modules
+    assert modules.isdisjoint(f"reidtai.{name}" for name in ("groups", "monomial", "torus", "lattice"))
+
+
+class TestOneSubparser:
+    SUBCOMMANDS = ("age", "rt-check", "table1", "orders-scan", "pair-search", "multisets", "same-order-screen",
+                   "av-verdict", "filtration", "simple-av-screen", "monomial-check", "imprimitive-cases", "deviation",
+                   "extraspecial-scan", "verify-witness", "golden")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(action, name, **kwargs):
+            built.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        return built
+
+    def test_a_well_formed_command_builds_one_subparser(self, built, capsys):
+        from reidtai.cli import main
+
+        assert main(["--cap", "100", "monomial-check", "--m", "2", "--p", "1", "--n", "3", "--format", "json"]) == 0
+        assert built == ["monomial-check"]
+        assert json.loads(capsys.readouterr().out)["group_order"] == 48
+
+    def test_help_lists_every_subcommand(self, built, capsys):
+        from reidtai.cli import main
+
+        assert main(["--help"]) == 0
+        assert built == list(self.SUBCOMMANDS)
+        out = capsys.readouterr().out
+        assert all(f"    {name} " in out or f"    {name}\n" in out for name in self.SUBCOMMANDS)
+
+    def test_a_usage_error_is_printed_by_the_full_parser(self, built, capsys):
+        from reidtai.cli import main
+
+        # the main parser's usage lists every subcommand
+        assert main(["age", "--spectrum", "1/2", "extra"]) == 2
+        assert built == ["age", *self.SUBCOMMANDS]
+        err = capsys.readouterr().err
+        assert "{age,rt-check," in err and err.endswith("reidtai: error: unrecognized arguments: extra\n")
+
+
+def _imports(path: Path, src: Path):
+    """The absolute names of the modules and attributes a file imports, relative imports resolved."""
+    package = list(path.relative_to(src).with_suffix("").parts)
+    package = package[:-1]  # a module's package, or the package of an __init__
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(package[: len(package) - node.level + 1] + ([node.module] if node.module else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_the_cli():
+    src = REPO / "src"
+    files = sorted((src / "reidtai").rglob("*.py"))
+    imports = {path.name if path.parent.name == "reidtai" else f"commands/{path.name}": set(_imports(path, src))
+               for path in files}
+    assert {"reidtai.commands.EXIT_INPUT", "reidtai.options"} <= imports["cli.py"]  # relative imports resolve
+    assert "reidtai.commands.emit" in imports["commands/search.py"] and "reidtai.options" in imports["commands/search.py"]
+    assert [name for name, found in imports.items() if "reidtai.cli" in found] == []

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from monomial_oracles import listing_scan, span_order
+from monomial_oracles import compose_class, listing_scan, span_order
 
 from reidtai.deviation import monomial_matrix
 from reidtai.groups import _KernelSpan
+from reidtai.imprimitive import imprimitive_classification
 from reidtai.monomial import (
     GroupTooLargeError,
     MonomialElement,
     MonomialGroup,
     _closure_order,
+    _exceptional_candidates,
     conjugacy_class,
     g_group,
     g_group_order,
-    imprimitive_classification,
     monomial_closure,
     monomial_identity,
     normal_closure,
@@ -314,6 +315,37 @@ class TestPropProdAgainstTheListing:
         assert elem(tuple(range(n)), ["1/5"] + [0] * (n - 1)) not in group
         assert monomial_identity(n + 1) not in group
         assert "elements" not in vars(group)
+
+
+# every G(m, p, n) with m <= 6, n <= 4 and order <= 30,000
+CONJUGATION_GROUPS = [
+    (m, p, n) for m in range(1, 7) for p in range(1, m + 1) if m % p == 0 for n in range(1, 5)
+    if g_group_order(m, p, n) <= 30_000
+]
+
+
+class TestDirectConjugation:
+    def test_cases(self):
+        assert len(CONJUGATION_GROUPS) == 55 and (6, 1, 4) not in CONJUGATION_GROUPS
+
+    @pytest.mark.parametrize("m, p, n", CONJUGATION_GROUPS)
+    def test_class_matches_the_compose_walk(self, m, p, n):
+        # every exceptional candidate in the group, and a seeded sample of other members with longer cycles
+        group = g_group(m, p, n)
+        modulus = math.lcm(*(g.modulus for g in group.generators))
+        members = [g for g in _exceptional_candidates(n, modulus) if g in group]
+        rng = random.Random(1000 * m + 10 * p + n)
+        for _ in range(10):
+            ks = [rng.randrange(m) for _ in range(n)]
+            ks[0] = (ks[0] - sum(ks)) % m + rng.randrange(m // p) * p  # phase sum in p Z / m Z
+            members.append(MonomialElement(tuple(rng.sample(range(n), n)), ks, m))
+        assert all(g in group for g in members)
+        seen = set()
+        for g in members:
+            if g not in seen:
+                cls = conjugacy_class(g, group)
+                assert cls == compose_class(g, group), g
+                seen.update(cls)
 
 
 def _assert_span_matches(vectors, n, m):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from payloads import assert_payload_close
-from reidtai import deviation, lattice, monomial, roots, search, torus
+from reidtai import deviation, imprimitive, lattice, monomial, roots, search, torus
 from reidtai.lattice import sublattice_from_rows
 from reidtai.monomial import MonomialGroup, g_group
 from reidtai.records import Record, json_value
@@ -31,7 +31,7 @@ from reidtai.torus import AffineTorusMap, closure, exceptional_elements
 RECORDS = sorted(
     (
         cls
-        for module in (roots, lattice, search, monomial, torus, deviation)
+        for module in (roots, lattice, search, monomial, imprimitive, torus, deviation)
         for cls in vars(module).values()
         if isinstance(cls, type)
         and issubclass(cls, Record)
