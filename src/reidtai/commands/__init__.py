@@ -2,9 +2,10 @@
 
 The handlers live in one module per engine family here: ``spectra``,
 ``search``, ``torus``, ``monomial``, ``deviation``, ``witness`` and
-``golden``.  Each maps its subcommands to their handler and ``add_argument``
-specs in ``HANDLERS``, and each handler imports the engine it runs, so a
-command compiles only its own family and loads only its own engine.
+``golden``.  Each module's ``HANDLERS`` maps its subcommands to
+``(handler, arguments)``, the arguments as ``(name or flag, add_argument
+keywords)`` pairs.  Each handler imports the engine it runs, so a command
+compiles only its own family and loads only its own engine.
 
 No module here imports ``reidtai.cli``.  Under ``python -m reidtai.cli`` that
 file runs as ``__main__``, so importing it would compile it a second time and
@@ -26,7 +27,7 @@ class InputError(Exception):
     pass
 
 
-def parse_spectrum(text: str):
+def _parse_spectrum(text: str):
     from ..spectra import Spectrum
 
     try:
@@ -35,7 +36,7 @@ def parse_spectrum(text: str):
         raise InputError(f"bad spectrum {text!r}: {exc}") from exc
 
 
-def load_json(path: str) -> dict:
+def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -48,13 +49,13 @@ def load_json(path: str) -> dict:
         raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
-def emit(payload: dict, fmt: str, table_renderer) -> None:
+def _emit(payload: dict, fmt: str, table_renderer) -> None:
     if fmt == "json":
         print(json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2))
     else:
         table_renderer(payload)
 
 
-def conformance_exit(report_json: dict, strict: bool) -> int:
+def _conformance_exit(report_json: dict, strict: bool) -> int:
     mismatch = bool(report_json["missing"]) or bool(report_json["extra"])
     return EXIT_CONFORMANCE if strict and mismatch else EXIT_OK

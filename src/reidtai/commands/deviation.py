@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 
-from . import EXIT_OK, InputError, emit, load_json, parse_spectrum
+from . import EXIT_OK, InputError, _emit, _load_json, _parse_spectrum
 
 
 def _load_complex_matrix(path: str, what: str) -> list[list[complex]]:
-    raw = load_json(path)
+    raw = _load_json(path)
     try:
         return [[complex(re, im) for re, im in row] for row in raw]
     except (TypeError, ValueError) as exc:
@@ -19,7 +19,7 @@ def _cmd_deviation(args) -> int:
     from .. import deviation as dev
 
     if args.spectrum:
-        s = parse_spectrum(args.spectrum)
+        s = _parse_spectrum(args.spectrum)
         age = s.age()
         payload = {
             "spectrum": s.to_json(),
@@ -27,7 +27,7 @@ def _cmd_deviation(args) -> int:
             "eigenbasis_deviation": dev.eigenbasis_deviation(s),
             "arc_bound": 2 * math.pi * float(age),
         }
-        emit(payload, args.format, lambda p: print(
+        _emit(payload, args.format, lambda p: print(
             f"eigenbasis deviation {p['eigenbasis_deviation']:.9f} <= 2*pi*age {p['arc_bound']:.9f}"
         ))
         return EXIT_OK
@@ -39,7 +39,7 @@ def _cmd_deviation(args) -> int:
         report = dev.deviation_wrt_basis(matrix, basis)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    emit(report.to_json(), args.format, lambda p: print(f"deviation {p['total']:.9f}"))
+    _emit(report.to_json(), args.format, lambda p: print(f"deviation {p['total']:.9f}"))
     return EXIT_OK
 
 
@@ -54,11 +54,10 @@ def _cmd_extraspecial_scan(args) -> int:
             flag = "survives" if r["survives"] else "fails"
             print(f"p={r['p']} n={r['n_exp']} m={r['m']} dim={r['dim']:>3}  {flag}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "deviation": (_cmd_deviation, (
         ("--spectrum", {}),

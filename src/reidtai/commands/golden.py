@@ -26,7 +26,6 @@ def _cmd_golden(args) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "golden": (_cmd_golden, (
         ("--dir", {"default": "golden"}),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import EXIT_OK, InputError, emit
+from . import EXIT_OK, InputError, _emit
 
 
 def _cmd_monomial_check(args) -> int:
@@ -31,7 +31,7 @@ def _cmd_monomial_check(args) -> int:
             )
         print(f"violations: {len(p['violations'])}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -50,11 +50,10 @@ def _cmd_imprimitive_cases(args) -> int:
                 f"square age {r['square_age']}  {status}"
             )
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "monomial-check": (_cmd_monomial_check, (
         ("--m", {"type": int, "required": True}),

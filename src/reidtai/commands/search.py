@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..options import MODE_ORBIT_SETS, MODE_VALUE_UNION
-from . import EXIT_OK, conformance_exit, emit
+from . import EXIT_OK, _conformance_exit, _emit
 
 
 def _cmd_table1(args) -> int:
@@ -17,7 +17,7 @@ def _cmd_table1(args) -> int:
         for r in p["rows"]:
             print(f"{r['n']:>3} {r['half_count']:>9}  {', '.join(r['values']):<24} {r['mean']}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -36,8 +36,8 @@ def _cmd_orders_scan(args) -> int:
         print("missing:", p["conformance"]["missing"])
         print("extras:", [e["item"] for e in p["conformance"]["extra"]])
 
-    emit(payload, args.format, render)
-    return conformance_exit(payload["conformance"], args.strict_conformance)
+    _emit(payload, args.format, render)
+    return _conformance_exit(payload["conformance"], args.strict_conformance)
 
 
 def _cmd_pair_search(args) -> int:
@@ -57,8 +57,8 @@ def _cmd_pair_search(args) -> int:
         print(f"{len(p['pairs'])} pairs; missing {p['conformance']['missing']}; "
               f"extras {[e['item'] for e in p['conformance']['extra']]}")
 
-    emit(payload, args.format, render)
-    return conformance_exit(payload["conformance"], args.strict_conformance)
+    _emit(payload, args.format, render)
+    return _conformance_exit(payload["conformance"], args.strict_conformance)
 
 
 def _cmd_multisets(args) -> int:
@@ -73,8 +73,8 @@ def _cmd_multisets(args) -> int:
         print(f"{len(p['multisets'])} multisets; missing {p['conformance']['missing']}; "
               f"{len(p['conformance']['extra'])} extras; {len(p['refutations'])} refutations")
 
-    emit(payload, args.format, render)
-    return conformance_exit(payload["conformance"], args.strict_conformance)
+    _emit(payload, args.format, render)
+    return _conformance_exit(payload["conformance"], args.strict_conformance)
 
 
 def _cmd_same_order_screen(args) -> int:
@@ -88,7 +88,7 @@ def _cmd_same_order_screen(args) -> int:
         "min_age": None if age is None else str(age),
         "exceptional": age is not None and 0 < age < 1,
     }
-    emit(payload, args.format, lambda p: print(
+    _emit(payload, args.format, lambda p: print(
         f"order {p['n']} dim {p['dim']}: "
         + ("infeasible" if not p["feasible"] else f"min age {p['min_age']} exceptional {p['exceptional']}")
     ))
@@ -99,7 +99,6 @@ _MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
 _F_MAX = ("--f-max", {"type": int, "default": 126})
 _MODE = ("--mode", {"choices": _MODES, "default": MODE_VALUE_UNION})
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "table1": (_cmd_table1, ()),
     "orders-scan": (_cmd_orders_scan, (

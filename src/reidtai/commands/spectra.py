@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from . import EXIT_OK, InputError, emit, parse_spectrum
+from . import EXIT_OK, InputError, _emit, _parse_spectrum
 
 
 def _cmd_age(args) -> int:
-    s = parse_spectrum(args.spectrum)
+    s = _parse_spectrum(args.spectrum)
     payload = {"spectrum": s.to_json(), "age": str(s.age()), "exceptional": s.is_exceptional()}
-    emit(payload, args.format, lambda p: print(f"age {p['age']}  exceptional {p['exceptional']}"))
+    _emit(payload, args.format, lambda p: print(f"age {p['age']}  exceptional {p['exceptional']}"))
     return EXIT_OK
 
 
 def _cmd_rt_check(args) -> int:
-    spectra = [parse_spectrum(text) for text in args.spectrum]
+    spectra = [_parse_spectrum(text) for text in args.spectrum]
     if not spectra:
         raise InputError("need at least one --spectrum")
     entries = [
@@ -26,11 +26,10 @@ def _cmd_rt_check(args) -> int:
             print(f"age {e['age']:>8}  exceptional {e['exceptional']}  [{', '.join(e['spectrum'])}]")
         print(f"satisfies Reid-Tai: {p['satisfies_rt']}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "age": (_cmd_age, (("--spectrum", {"required": True, "help": 'comma-separated fractions, e.g. "1/6,1/3"'}),)),
     "rt-check": (_cmd_rt_check, (("--spectrum", {"action": "append", "default": [], "help": "repeatable"}),)),

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from . import EXIT_OK, InputError, emit, load_json
+from . import EXIT_OK, InputError, _emit, _load_json
 
 
 def _load_action(path: str, cap: int):
     from ..groups import GroupTooLargeError
     from ..torus import AffineTorusMap, closure
 
-    payload = load_json(path)
+    payload = _load_json(path)
     try:
         rank = payload["rank"]
         if type(rank) is not int:  # true and 1.0 would compare equal to a generator rank of 1
@@ -31,7 +31,7 @@ def _cmd_av_verdict(args) -> int:
     action = _load_action(args.input, args.cap)
     report = filtration(action)
     payload = {"verdict": report.verdict, "order": action.order}
-    emit(payload, args.format, lambda p: print(p["verdict"]))
+    _emit(payload, args.format, lambda p: print(p["verdict"]))
     return EXIT_OK
 
 
@@ -48,7 +48,7 @@ def _cmd_filtration(args) -> int:
             print(f"  chain[{i}] rank {len(sub['basis'])}: {sub['basis']}")
         print(f"verdict: {p['verdict']}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
@@ -63,11 +63,10 @@ def _cmd_simple_av_screen(args) -> int:
         if p["extra_survivors"]:
             print(f"extra-order survivors {p['extra_survivors']}")
 
-    emit(payload, args.format, render)
+    _emit(payload, args.format, render)
     return EXIT_OK
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "av-verdict": (_cmd_av_verdict, (("input", {"help": "JSON file: {rank, generators: [{matrix, translation}]}"}),)),
     "filtration": (_cmd_filtration, (("input", {}),)),

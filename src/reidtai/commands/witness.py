@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from . import EXIT_CONFORMANCE, EXIT_OK, InputError, load_json
+from . import EXIT_CONFORMANCE, EXIT_OK, InputError, _load_json
 
 
 def _cmd_verify_witness(args) -> int:
     from ..witness import UnknownKindError, verify
 
-    payload = load_json(args.input)
+    payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise InputError(f"bad witness payload: expected a JSON object, got {type(payload).__name__}")
     try:
@@ -21,7 +21,6 @@ def _cmd_verify_witness(args) -> int:
     return EXIT_OK if ok else EXIT_CONFORMANCE
 
 
-# subcommand -> (handler, its arguments as (name or flag, add_argument keywords))
 HANDLERS = {
     "verify-witness": (_cmd_verify_witness, (("input", {"help": "JSON witness file"}),)),
 }

@@ -241,5 +241,5 @@ def test_no_module_imports_the_cli():
     imports = {path.name if path.parent.name == "reidtai" else f"commands/{path.name}": set(_imports(path, src))
                for path in files}
     assert {"reidtai.commands.EXIT_INPUT", "reidtai.options"} <= imports["cli.py"]  # relative imports resolve
-    assert "reidtai.commands.emit" in imports["commands/search.py"] and "reidtai.options" in imports["commands/search.py"]
+    assert "reidtai.commands._emit" in imports["commands/search.py"] and "reidtai.options" in imports["commands/search.py"]
     assert [name for name, found in imports.items() if "reidtai.cli" in found] == []
