@@ -40,6 +40,6 @@ s = Spectrum([F(1, 8), F(5, 8), 0])
 show(s)
 show(s.power(2), "(square: the swap block becomes a diagonal quarter-turn)")
 
-print("\nArc widths feed the primitive-group screen (Blichfeldt):")
+print("\nArc widths are exact; Blichfeldt's bound for primitive groups is pi/3:")
 tight = Spectrum([0, F(1, 6)])
-print(f"  {{1, e(1/6)}} spans an arc of {tight.arc_width():.6f} rad = pi/3 (boundary case flags)")
+print(f"  {{1, e(1/6)}} spans an arc of {tight.arc_width():.6f} rad = pi/3")

@@ -14,8 +14,8 @@ deviation names load numpy.
 import importlib
 
 _EXPORTS = {
-    "roots": ("RootOfUnity", "UnitClasses", "conjugate", "galois_apply", "normalize", "unit_classes"),
-    "spectra": ("Spectrum", "blichfeldt_violating", "satisfies_rt"),
+    "roots": ("RootOfUnity", "UnitClasses", "conjugate", "unit_classes"),
+    "spectra": ("Spectrum", "satisfies_rt"),
     "lattice": (
         "IntMatrix",
         "SmithDecomposition",
@@ -37,7 +37,6 @@ _EXPORTS = {
         "feasible_orders",
         "min_age_same_order",
         "min_halforbit_sum",
-        "pair_feasible",
         "table1",
     ),
     "monomial": (
@@ -59,7 +58,6 @@ _EXPORTS = {
         "closure",
         "exceptional_elements",
         "filtration",
-        "rt_subgroup",
         "rt_tangent_sublattice",
         "simple_av_screen",
         "verdict",

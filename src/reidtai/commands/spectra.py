@@ -13,13 +13,15 @@ def _cmd_age(args) -> int:
 
 
 def _cmd_rt_check(args) -> int:
+    from ..spectra import satisfies_rt
+
     spectra = [_parse_spectrum(text) for text in args.spectrum]
     if not spectra:
         raise InputError("need at least one --spectrum")
     entries = [
         {"spectrum": s.to_json(), "age": str(s.age()), "exceptional": s.is_exceptional()} for s in spectra
     ]
-    payload = {"elements": entries, "satisfies_rt": not any(e["exceptional"] for e in entries)}
+    payload = {"elements": entries, "satisfies_rt": satisfies_rt(spectra)}
 
     def render(p):
         for e in p["elements"]:

@@ -100,6 +100,7 @@ class ProductBoundReport(Record):
         return payload
 
 
+# No subcommand calls this; kept for `demos/deviation_bounds.py`.
 def product_bound_check(ts: Sequence, bases: Sequence | None = None) -> ProductBoundReport:
     """Build the adapted basis from the jump subspaces and verify the product bound.
 
@@ -196,6 +197,7 @@ class InvariantDimensionReport(Record):
     witness_index: int | None  # an element with Re tr <= 0 when dimension is 0
 
 
+# No subcommand calls this; kept for `demos/deviation_bounds.py`.
 def invariant_dimension(group) -> InvariantDimensionReport:
     """dim of invariants = average of traces over a closed finite matrix group."""
     if isinstance(group, MonomialGroup):
@@ -229,6 +231,7 @@ class TensorPermTraceReport(Record):
     ok: bool
 
 
+# No subcommand calls this; kept for `demos/deviation_bounds.py`.
 def tensor_perm_trace_check(ts: Sequence) -> TensorPermTraceReport:
     """Trace of v_1 x...x v_n -> T_n(v_n) x T_1(v_1) x...x T_{n-1}(v_{n-1}).
 

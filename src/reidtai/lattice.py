@@ -292,6 +292,7 @@ def saturate(s: Sublattice) -> Sublattice:
 # ---------------------------------------------------------------------------
 
 
+# No subcommand calls this; kept as a `bench/tracer.py` target (removing it changes the benchmark).
 def solve_torus_congruence(m: IntMatrix, t: Sequence[Fraction]) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Decide (M - I) x = -t on R^n/Z^n; return (solvable, one rational solution).
 

@@ -100,6 +100,7 @@ class MonomialElement(Record):
         nums = [sk[p] * fa + k * fb for p, k in zip(op, other.phase_numerators)]
         return MonomialElement._trusted(perm, *over_least_modulus(nums, m))
 
+    # No subcommand inverts an element; kept as a `bench/tracer.py` target and for the test oracles' class closures.
     def inverse(self) -> "MonomialElement":
         n = self.degree
         inv = [0] * n
@@ -238,6 +239,7 @@ def _listed(elements: Sequence[MonomialElement], cap: int) -> tuple[tuple[Monomi
     return canonical(members, MonomialElement._values), used
 
 
+# No subcommand calls this; kept as a `bench/tracer.py` target (removing it changes the benchmark).
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
@@ -309,6 +311,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
     return canonical(seen, MonomialElement._values)
 
 
+# No subcommand calls this; kept for `demos/monomial_reflection_groups.py` and as a `bench/tracer.py` target.
 def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
     """Smallest normal subgroup of the group containing g.
 

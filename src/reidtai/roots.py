@@ -22,8 +22,6 @@ __all__ = [
     "UnitClasses",
     "conjugate",
     "euler_phi",
-    "galois_apply",
-    "normalize",
     "over_common_modulus",
     "over_least_modulus",
     "unit_classes",
@@ -52,21 +50,6 @@ class RootOfUnity(Fraction):
     def order(self) -> int:
         """Multiplicative order of e(a/d): the reduced denominator."""
         return self.denominator
-
-
-def normalize(a: int, d: int) -> RootOfUnity:
-    """Reduce a/d modulo 1 to the canonical representative in [0, 1)."""
-    if d < 1:
-        raise ValueError(f"denominator must be a positive integer, got {d}")
-    return RootOfUnity(a, d)
-
-
-def galois_apply(k: int, z: RootOfUnity) -> RootOfUnity:
-    """Apply the Galois automorphism e(x) -> e(k*x); k must be a unit mod order(z)."""
-    d = z.denominator
-    if math.gcd(k, d) != 1:
-        raise ValueError(f"{k} is not coprime to the order {d}")
-    return RootOfUnity(k * z.numerator, d)
 
 
 def conjugate(z: RootOfUnity) -> RootOfUnity:

@@ -39,7 +39,6 @@ __all__ = [
     "ConformanceReport",
     "MultisetEnumeration",
     "OrbitClass",
-    "PairClass",
     "PairDecision",
     "SigmaWitness",
     "Table1Row",
@@ -55,7 +54,6 @@ __all__ = [
     "feasible_orders",
     "min_age_same_order",
     "min_halforbit_sum",
-    "pair_feasible",
     "table1",
 ]
 
@@ -112,10 +110,6 @@ class ConformanceReport(Record):
     computed: tuple
     missing: tuple
     extras: tuple  # of (item, witness-dict)
-
-    @property
-    def conforms(self) -> bool:
-        return not self.missing and not self.extras
 
     def to_json(self) -> dict:
         payload = super().to_json()
@@ -318,7 +312,8 @@ class PairDecision(Record):
     values: tuple[RootOfUnity, ...] | None = None
     orbit: AvOrbitResult | None = None
 
-    def witness_json(self) -> dict:
+    def to_json(self) -> dict:
+        """The ``pair-<mode>`` witness that ``verify-witness`` re-checks."""
         payload = {
             "kind": f"pair-{self.mode}",
             "pair": [str(v) for v in self.pair],
@@ -333,36 +328,15 @@ class PairDecision(Record):
         return payload
 
 
-def _decide_pair(alpha: RootOfUnity, beta: RootOfUnity, mode: str) -> PairDecision:
-    pair = tuple(sorted((alpha, beta)))
+def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecision:
+    """Decide a pair given in ascending order."""
     if mode == MODE_VALUE_UNION:
-        total, witness, values = _value_union_minimum(alpha, beta)
+        total, witness, values = _value_union_minimum(*pair)
         return PairDecision(pair, mode, total < 1, total, witness=witness, values=values)
     if mode == MODE_ORBIT_SETS:
         orbit = av_orbit_feasibility(pair)
         return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
     raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-
-
-def pair_feasible(a: int, b: int, f: int, mode: str = MODE_VALUE_UNION) -> PairDecision:
-    """Decide feasibility of the value pair {e(a/f), e(b/f)}; requires 0 < a < b < f."""
-    if not 0 < a < b < f:
-        raise ValueError("need 0 < a < b < f")
-    alpha = RootOfUnity(a, f)
-    beta = RootOfUnity(b, f)
-    if alpha == 0 or beta == 0:
-        raise ValueError("degenerate pair: a value reduces to 1")
-    return _decide_pair(alpha, beta, mode)
-
-
-class PairClass(Record):
-    values: tuple[RootOfUnity, RootOfUnity]
-    witness: SigmaWitness | None
-    minimal_sum: Fraction
-    decision: PairDecision
-
-    def to_json(self) -> dict:
-        return self.decision.witness_json()
 
 
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
@@ -405,7 +379,7 @@ def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[int]
 
 def classify_pairs(
     f_max: int = 126, mode: str = MODE_VALUE_UNION
-) -> tuple[tuple[PairClass, ...], ConformanceReport]:
+) -> tuple[tuple[PairDecision, ...], ConformanceReport]:
     """All distinct reduced value pairs with lcm of orders <= f_max passing the mode predicate.
 
     For a unit k, the covering sections S of {k*alpha, k*beta} are the sections k*S of {alpha, beta},
@@ -423,7 +397,7 @@ def classify_pairs(
 
     decisions = {}
     for first, *rest in _galois_orbits(candidates):
-        decision = _decide_pair(*pair(first), mode)
+        decision = _decide_pair(pair(first), mode)
         if not decision.feasible:
             continue
         decisions[first] = decision
@@ -434,10 +408,10 @@ def classify_pairs(
                 orbit = decision.orbit
                 decisions[i] = PairDecision(pair(i), mode, orbit.feasible, orbit.total, orbit=orbit)
             else:
-                decisions[i] = _decide_pair(*pair(i), mode)
-    classes = tuple(PairClass(d.pair, d.witness, d.minimal_sum, d) for _, d in sorted(decisions.items()))
-    computed = tuple(c.values for c in classes)
-    by_pair = {c.values: c for c in classes}
+                decisions[i] = _decide_pair(pair(i), mode)
+    classes = tuple(d for _, d in sorted(decisions.items()))
+    computed = tuple(c.pair for c in classes)
+    by_pair = {c.pair: c for c in classes}
     expected = tuple(p for p in REFERENCE_PAIRS if math.lcm(p[0].order, p[1].order) <= f_max)
     report = _conformance(expected, computed, lambda p: by_pair[p].to_json())
     return classes, report
@@ -493,7 +467,7 @@ def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 1
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     classes, _ = classify_pairs(f_max, MODE_VALUE_UNION)
-    bases = {c.values for c in classes}
+    bases = {c.pair for c in classes}
     bases.add(REFERENCE_TRIPLE)
     candidates = []
     for base in sorted(bases, key=lambda b: (len(b), b)):

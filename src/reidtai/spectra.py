@@ -15,16 +15,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .records import Record
-from .roots import RootOfUnity
+from .roots import RootOfUnity, conjugate
 
 __all__ = [
     "Spectrum",
-    "blichfeldt_violating",
     "satisfies_rt",
 ]
-
-# Shortest-arc bound for non-scalar elements of primitive groups, in turns.
-BLICHFELDT_ARC_TURNS = Fraction(1, 6)
 
 
 class Spectrum(Record):
@@ -70,7 +66,7 @@ class Spectrum(Record):
         return Spectrum(RootOfUnity(k * v.numerator, v.denominator) for v in self.values)
 
     def conjugate(self) -> "Spectrum":
-        return Spectrum(RootOfUnity(-v.numerator, v.denominator) for v in self.values)
+        return Spectrum(conjugate(v) for v in self.values)
 
     def arc_width_turns(self) -> Fraction:
         """Shortest closed arc containing all eigenvalues, in turns (exact)."""
@@ -103,14 +99,3 @@ def satisfies_rt(elements: Iterable[Spectrum]) -> bool:
     """Reid-Tai condition for a set of non-identity element spectra: no member is exceptional."""
     return not any(s.is_exceptional() for s in elements)
 
-
-def blichfeldt_violating(s: Spectrum) -> bool:
-    """Non-constant spectrum squeezed into an arc of width <= pi/3.
-
-    The bound is inclusive: width exactly pi/3 still flags.  A True value
-    reports that no primitive group can contain a non-scalar element with
-    these eigenvalues; the group-theoretic conclusion is the caller's.
-    """
-    if len(set(s.values)) < 2:
-        return False
-    return s.arc_width_turns() <= BLICHFELDT_ARC_TURNS

@@ -56,7 +56,6 @@ __all__ = [
     "closure",
     "exceptional_elements",
     "filtration",
-    "rt_subgroup",
     "rt_tangent_sublattice",
     "simple_av_screen",
     "verdict",
@@ -254,28 +253,9 @@ def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
     return tuple(out)
 
 
-def rt_subgroup(action: TorusAction) -> TorusAction:
-    """Subgroup generated by all exceptional elements (trivial when there are none).
-
-    Lemma: this equals the subgroup generated by the age-below-1 stabilizer
-    elements over all points.  Proof: at a fixed point the stabilizer acts
-    through its differential, and the differential of x -> Mx + t is M
-    (translations differentiate to zero), so the age of g at any of its
-    fixed points is the age of its linear part.
-    """
-    exc = exceptional_elements(action)
-    if not exc:
-        ident = affine_identity(action.rank)
-        return TorusAction(action.rank, (ident,), ())
-    return closure(tuple(e.element for e in exc), cap=action.order)
-
-
+# No subcommand calls this (filtration reuses each stage's exceptional elements); kept as a `bench/tracer.py` target.
 def rt_tangent_sublattice(action: TorusAction) -> Sublattice:
-    """Saturation of the sum of the image lattices (M - I)Z^n over exceptional elements.
-
-    ``filtration`` builds each stage's sublattice from the exceptional
-    elements it already holds, so it does not go through this function.
-    """
+    """Saturation of the sum of the image lattices (M - I)Z^n over exceptional elements."""
     return _tangent_sublattice(action.rank, exceptional_elements(action))
 
 

@@ -4,7 +4,18 @@ import math
 from fractions import Fraction
 
 from reidtai.roots import RootOfUnity, unit_classes
-from reidtai.search import PairClass, min_halforbit_sum, pair_feasible
+from reidtai.search import MODE_VALUE_UNION, PairDecision, _decide_pair, min_halforbit_sum
+
+
+def pair_feasible(a: int, b: int, f: int, mode: str = MODE_VALUE_UNION) -> PairDecision:
+    """Decide feasibility of the value pair {e(a/f), e(b/f)}; requires 0 < a < b < f."""
+    if not 0 < a < b < f:
+        raise ValueError("need 0 < a < b < f")
+    alpha = RootOfUnity(a, f)
+    beta = RootOfUnity(b, f)
+    if alpha == 0 or beta == 0:
+        raise ValueError("degenerate pair: a value reduces to 1")
+    return _decide_pair((alpha, beta), mode)
 
 
 def subset_min_sum(d: int) -> Fraction:
@@ -28,7 +39,7 @@ def subset_min_sum(d: int) -> Fraction:
     return best
 
 
-def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairClass, ...]:
+def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairDecision, ...]:
     """Second search path: one decision per candidate pair, no Galois orbits.
 
     Candidates are every unordered pair of distinct primitive values whose
@@ -52,5 +63,5 @@ def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairClass, ...]:
         a, b = (v.numerator * (modulus // v.order) for v in (alpha, beta))
         decision = pair_feasible(a, b, modulus, mode)
         if decision.feasible:
-            classes.append(PairClass(decision.pair, decision.witness, decision.minimal_sum, decision))
+            classes.append(decision)
     return tuple(classes)

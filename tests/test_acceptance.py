@@ -133,7 +133,7 @@ def test_criterion_04_pair_search_value_union():
         start = time.perf_counter()
         classes, report = classify_pairs(126, MODE_VALUE_UNION)
         elapsed = time.perf_counter() - start
-        computed = {c.values for c in classes}
+        computed = {c.pair for c in classes}
         assert set(REFERENCE_PAIRS) <= computed
         assert report.missing == ()
         extras = {tuple(item): w for item, w in report.extras}

@@ -434,9 +434,10 @@ class TestWitnessRoundTrip:
         # {1/59, 58/59}: sides u and -u of each of the 29 conjugate pairs of
         # units give one value set; searching both sides would walk 2^29 leaves.
         code = (
-            "import json\n"
-            "from reidtai.search import pair_feasible\n"
-            "print(json.dumps(pair_feasible(1, 58, 59).witness_json()))\n"
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
+            "from search_oracles import pair_feasible\n"
+            "print(json.dumps(pair_feasible(1, 58, 59).to_json()))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, timeout=10

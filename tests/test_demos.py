@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "name", ["ages_and_reidtai", "deviation_bounds", "monomial_reflection_groups", "torus_verdicts"]
+    "name", ["ages_and_reidtai", "deviation_bounds", "machine_searches", "monomial_reflection_groups", "torus_verdicts"]
 )
 def test_demo_runs(name):
     result = subprocess.run(

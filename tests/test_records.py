@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from payloads import assert_payload_close
+from search_oracles import pair_feasible
 from reidtai import deviation, imprimitive, lattice, monomial, roots, search, torus
 from reidtai.lattice import sublattice_from_rows
 from reidtai.monomial import MonomialGroup, g_group
@@ -81,7 +82,7 @@ def assert_matches_twin(record: Record) -> None:
 
 
 def test_every_report_class_is_a_record():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     assert not dataclasses.is_dataclass(monomial.MonomialElement) and not dataclasses.is_dataclass(AffineTorusMap)
 
@@ -178,9 +179,9 @@ def test_defaults_are_the_class_attributes():
 
 
 def test_pair_decisions_with_and_without_defaults():
-    value_union = search.pair_feasible(1, 2, 6, MODE_VALUE_UNION)
+    value_union = pair_feasible(1, 2, 6, MODE_VALUE_UNION)
     assert value_union.witness is not None and value_union.orbit is None
-    orbit_sets = search.pair_feasible(1, 2, 6, MODE_ORBIT_SETS)
+    orbit_sets = pair_feasible(1, 2, 6, MODE_ORBIT_SETS)
     assert orbit_sets.witness is None and orbit_sets.values is None and orbit_sets.orbit is not None
     bare = PairDecision(value_union.pair, MODE_VALUE_UNION, True, Fraction(1, 2))
     for decision in (value_union, orbit_sets, bare):

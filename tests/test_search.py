@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reidtai.roots import RootOfUnity, euler_phi, galois_apply, unit_classes
+from reidtai.roots import RootOfUnity, euler_phi, unit_classes
 from reidtai.search import (
     CONFIRMED_ORDERS,
     MODE_ORBIT_SETS,
@@ -26,11 +26,10 @@ from reidtai.search import (
     feasible_orders,
     min_age_same_order,
     min_halforbit_sum,
-    pair_feasible,
     table1,
 )
 from reidtai.witness import covers_conjugate_pairs
-from search_oracles import classify_pairs_per_pair
+from search_oracles import classify_pairs_per_pair, pair_feasible
 from search_oracles import subset_min_sum as _subset_min_sum
 
 
@@ -422,7 +421,7 @@ def orbit():
 class TestClassifyPairs:
     def test_reference_pairs_found(self, value_union):
         classes, report = value_union
-        computed = {c.values for c in classes}
+        computed = {c.pair for c in classes}
         assert set(REFERENCE_PAIRS) <= computed
         assert report.missing == ()
 
@@ -437,7 +436,7 @@ class TestClassifyPairs:
 
     def test_seventh_pair_refuted(self, orbit_sets):
         classes, _ = orbit_sets
-        assert (R(1, 7), R(2, 7)) not in {c.values for c in classes}
+        assert (R(1, 7), R(2, 7)) not in {c.pair for c in classes}
         assert av_orbit_feasibility([R(1, 7), R(2, 7)]).total == Fraction(2)
 
     def test_orbit_mode_misses_exactly_k_and_m(self, orbit_sets):
@@ -448,7 +447,7 @@ class TestClassifyPairs:
 
     def test_conjugation_closure(self, value_union):
         classes, _ = value_union
-        computed = {c.values for c in classes}
+        computed = {c.pair for c in classes}
         for pair in computed:
             conj = tuple(sorted(RootOfUnity(-v.numerator, v.denominator) for v in pair))
             assert conj in computed
@@ -462,7 +461,7 @@ class TestClassifyPairs:
             values = {
                 RootOfUnity(k * v.numerator, v.denominator)
                 for k in sigma.chosen_residues
-                for v in c.values
+                for v in c.pair
             }
             assert sum(values, Fraction(0)) == c.minimal_sum
 
@@ -474,7 +473,7 @@ class TestClassifyPairs:
         lift = [(modulus, (R(a, modulus), R(b, modulus))) for modulus, a, b in candidates]
         for orbit in orbits:
             modulus, pair = lift[orbit[0]]
-            twists = {tuple(sorted(galois_apply(k, v) for v in pair)) for k in unit_classes(modulus).units}
+            twists = {tuple(sorted(R(k * v.numerator, v.denominator) for v in pair)) for k in unit_classes(modulus).units}
             assert {lift[i][1] for i in orbit} == twists
 
     def test_matches_per_pair_oracle(self, value_union, orbit_sets):
@@ -482,7 +481,7 @@ class TestClassifyPairs:
         assert orbit_sets[0] == classify_pairs_per_pair(126, MODE_ORBIT_SETS)
 
     def test_orbit_subset_of_value_union(self, value_union, orbit_sets):
-        assert {c.values for c in orbit_sets[0]} <= {c.values for c in value_union[0]}
+        assert {c.pair for c in orbit_sets[0]} <= {c.pair for c in value_union[0]}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reidtai.spectra import Spectrum, blichfeldt_violating, satisfies_rt
+from reidtai.spectra import Spectrum, satisfies_rt
 
 
 def S(*vals):
@@ -81,12 +81,6 @@ class TestArcWidth:
     def test_exact_turns(self):
         assert S(0, "1/6").arc_width_turns() == Fraction(1, 6)
         assert S("1/8", "3/8", "1/2").arc_width_turns() == Fraction(3, 8)
-
-    def test_blichfeldt_flag(self):
-        assert blichfeldt_violating(S(0, "1/6"))  # boundary width pi/3 is inclusive
-        assert not blichfeldt_violating(S(0, 0))  # constant spectra exempt
-        assert not blichfeldt_violating(S(0, "1/3"))
-        assert blichfeldt_violating(S(0, "1/12", "1/6"))
 
 
 class TestTraceMagnitude:

@@ -26,7 +26,6 @@ from reidtai.torus import (
     closure,
     exceptional_elements,
     filtration,
-    rt_subgroup,
     rt_tangent_sublattice,
     simple_av_screen,
     verdict,
@@ -220,22 +219,6 @@ class TestExceptionalElements:
             ours = {e.element for e in exceptional_elements(action)}
             oracle = set(_stage1_exceptional_oracle(action))
             assert ours == oracle
-
-
-class TestRtSubgroup:
-    def test_examples(self):
-        assert rt_subgroup(kummer2()).order == 1
-        assert rt_subgroup(rank1_pm1()).order == 2
-
-    def test_permute_and_negate_gives_permutation_part(self):
-        # the exceptional elements are the transpositions, so the subgroup
-        # they generate is exactly the order-6 permutation part
-        sub = rt_subgroup(s3_pm1())
-        assert sub.order == 6
-        for g in sub.elements:
-            assert not any(g.translation)
-            assert all(entry in (0, 1) for row in g.linear for entry in row)
-            assert all(sum(row) == 1 for row in g.linear)
 
 
 class TestRtTangentSublattice:
