@@ -14,7 +14,7 @@ deviation names load numpy.
 import importlib
 
 _EXPORTS = {
-    "roots": ("RootOfUnity", "UnitClasses", "conjugate", "unit_classes"),
+    "roots": ("RootOfUnity", "UnitClasses", "unit_classes"),
     "spectra": ("Spectrum", "satisfies_rt"),
     "lattice": (
         "IntMatrix",
@@ -60,7 +60,6 @@ _EXPORTS = {
         "filtration",
         "rt_tangent_sublattice",
         "simple_av_screen",
-        "verdict",
     ),
     "deviation": (
         "deviation_wrt_basis",

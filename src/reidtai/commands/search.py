@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..options import MODE_ORBIT_SETS, MODE_VALUE_UNION
+from ..options import MODE_VALUE_UNION, MODES
 from . import EXIT_OK, _conformance_exit, _emit
 
 
@@ -95,15 +95,14 @@ def _cmd_same_order_screen(args) -> int:
     return EXIT_OK
 
 
-_MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
 _F_MAX = ("--f-max", {"type": int, "default": 126})
-_MODE = ("--mode", {"choices": _MODES, "default": MODE_VALUE_UNION})
+_MODE = ("--mode", {"choices": MODES, "default": MODE_VALUE_UNION})
 
 HANDLERS = {
     "table1": (_cmd_table1, ()),
     "orders-scan": (_cmd_orders_scan, (
         ("--bound", {"type": int, "default": 372}),
-        ("--mode", {"choices": _MODES, "default": MODE_VALUE_UNION,
+        ("--mode", {"choices": MODES, "default": MODE_VALUE_UNION,
                     "help": "accepted for interface symmetry; the order scan is mode-independent"}),
     )),
     "pair-search": (_cmd_pair_search, (_F_MAX, _MODE)),

@@ -43,13 +43,18 @@ def _is_unitary(m: np.ndarray) -> bool:
     return bool(np.isfinite(m).all() and np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= ORTHO_TOL)
 
 
-def _check_unitary(t, what: str = "operator") -> np.ndarray:
-    """T as a square complex array that is unitary; for ``what="basis"``, its columns are the basis vectors."""
+def _check_unitary(t, what: str = "operator", dimension: int | None = None) -> np.ndarray:
+    """T as a square complex array that is unitary; for ``what="basis"``, its columns are the basis vectors.
+
+    A basis must have the ``dimension`` of the operator it is used with.
+    """
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     basis = what == "basis"
     if t.shape != (n, n):
         raise ValueError("basis must consist of n vectors of dimension n" if basis else f"{what} must be square")
+    if dimension is not None and n != dimension:
+        raise ValueError(f"{what} dimension {n} does not match operator dimension {dimension}")
     if not _is_unitary(t):
         raise ValueError(f"{what} is not {'orthonormal' if basis else 'unitary'} to {ORTHO_TOL}")
     return t
@@ -69,7 +74,7 @@ def deviation_wrt_basis(t, basis=None, label: str = "basis") -> DeviationReport:
     """d(T, B) = sum ||T(b) - b|| over the columns of the orthonormal basis B."""
     t = _check_unitary(t)
     n = t.shape[0]
-    b = np.eye(n, dtype=complex) if basis is None else _check_unitary(basis, "basis")
+    b = np.eye(n, dtype=complex) if basis is None else _check_unitary(basis, "basis", n)
     diffs = t @ b - b
     per = tuple(float(np.linalg.norm(diffs[:, j])) for j in range(n))
     return DeviationReport(label, per, float(math.fsum(per)))
@@ -115,7 +120,7 @@ def product_bound_check(ts: Sequence, bases: Sequence | None = None) -> ProductB
         raise ValueError("dimension mismatch among factors")
     if bases is None:
         bases = [np.eye(dim, dtype=complex) for _ in ts]
-    bases = [_check_unitary(b, "basis") for b in bases]
+    bases = [_check_unitary(b, "basis", dim) for b in bases]
     if len(bases) != len(ts):
         raise ValueError("need one basis per factor")
 

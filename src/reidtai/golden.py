@@ -16,7 +16,6 @@ from pathlib import Path
 from .search import CONFIRMED_ORDERS, REFERENCE_MULTISETS, REFERENCE_PAIRS, table1
 
 __all__ = [
-    "GOLDEN_FILES",
     "TRACE_TABLE_CELLS",
     "check_golden",
     "compute_golden",
@@ -53,9 +52,6 @@ TRACE_TABLE_CELLS: tuple[dict, ...] = tuple(
         ("n", 6, ["0", "0", "0", "1/12", "1/4", "5/12"], 13, "sqrt(13)"),
     ]
 )
-
-GOLDEN_FILES = ("table1.json", "table2.json", "pairs.json", "orders.json", "multisets.json")
-
 
 def compute_golden() -> dict[str, dict]:
     return {

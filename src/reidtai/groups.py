@@ -159,8 +159,8 @@ def canonical(elements: Collection, parts: Callable) -> tuple:
 
     Both element kinds order their fields that way, so parts is the class's field getter ``_values``.
 
-    This is the ``sort_key`` order of both element kinds, without building a Fraction: values k/m
-    in [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
+    This is the one canonical order of both element kinds.  It builds no Fraction: values k/m in
+    [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
     """
     lcm = math.lcm(*{parts(g)[2] for g in elements})
 

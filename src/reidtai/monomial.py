@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .groups import GroupTooLargeError, canonical, extension
 from .records import Record
-from .roots import RootOfUnity, over_common_modulus, over_least_modulus
+from .roots import RootOfUnity, over_least_modulus
 from .spectra import Spectrum
 
 __all__ = [
@@ -72,11 +72,6 @@ class MonomialElement(Record):
         object.__setattr__(g, "modulus", m)
         return g
 
-    @classmethod
-    def from_phases(cls, permutation: Sequence[int], phases: Sequence) -> "MonomialElement":
-        nums, m = over_common_modulus([Fraction(p) for p in phases])
-        return cls(tuple(permutation), tuple(nums), m)
-
     @property
     def degree(self) -> int:
         return len(self.permutation)
@@ -84,9 +79,6 @@ class MonomialElement(Record):
     @property
     def phases(self) -> tuple[RootOfUnity, ...]:
         return tuple(RootOfUnity(k, self.modulus) for k in self.phase_numerators)
-
-    def is_identity(self) -> bool:
-        return self.modulus == 1 and self.permutation == tuple(range(self.degree))
 
     def compose(self, other: "MonomialElement") -> "MonomialElement":
         """Matrix product self * other."""
@@ -110,10 +102,6 @@ class MonomialElement(Record):
         # -k shares its gcd with m, so the negated numerators stay over the least modulus
         nums = tuple([-self.phase_numerators[i] % m for i in inv])
         return MonomialElement._trusted(tuple(inv), nums, m)
-
-    def sort_key(self):
-        """The canonical order; ``groups.canonical`` sorts a set the same way on ints."""
-        return (self.permutation, self.phases)
 
     def cycles(self) -> list[list[int]]:
         seen = [False] * self.degree
@@ -445,7 +433,8 @@ def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropP
                 is_transposition=cls[0].is_transposition(),
             )
         )
-    entries.sort(key=lambda e: (e.age, e.representative.sort_key()))
+    # by age, then (a stable sort) by the canonical order of the representatives
+    entries = sorted(canonical(entries, lambda e: MonomialElement._values(e.representative)), key=attrgetter("age"))
     # The transposition law presumes a genuine line system (degree >= 2);
     # scalar groups on one line are exempt.
     violations = tuple(

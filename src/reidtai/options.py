@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["MODE_ORBIT_SETS", "MODE_VALUE_UNION", "worker_count"]
+__all__ = ["MODES", "MODE_ORBIT_SETS", "MODE_VALUE_UNION", "worker_count"]
 
 MODE_VALUE_UNION = "value-union"
 MODE_ORBIT_SETS = "orbit-sets"
+MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
 
 
 def worker_count(requested: int | None = None) -> int:

@@ -20,7 +20,6 @@ from .records import Record
 __all__ = [
     "RootOfUnity",
     "UnitClasses",
-    "conjugate",
     "euler_phi",
     "over_common_modulus",
     "over_least_modulus",
@@ -50,11 +49,6 @@ class RootOfUnity(Fraction):
     def order(self) -> int:
         """Multiplicative order of e(a/d): the reduced denominator."""
         return self.denominator
-
-
-def conjugate(z: RootOfUnity) -> RootOfUnity:
-    """Complex conjugation e(x) -> e(-x)."""
-    return RootOfUnity(-z.numerator, z.denominator)
 
 
 def over_common_modulus(values: Sequence[Fraction]) -> tuple[list[int], int]:

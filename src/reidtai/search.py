@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION
+from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, MODES
 from .records import Record
 from .roots import RootOfUnity, over_common_modulus, unit_classes
 from .spectra import Spectrum
@@ -57,7 +57,6 @@ __all__ = [
     "table1",
 ]
 
-_MODES = (MODE_VALUE_UNION, MODE_ORBIT_SETS)
 
 # Published reference data the searches are diffed against.
 CONFIRMED_ORDERS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 18)
@@ -336,7 +335,7 @@ def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecisi
     if mode == MODE_ORBIT_SETS:
         orbit = av_orbit_feasibility(pair)
         return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
@@ -387,8 +386,8 @@ def classify_pairs(
     """
     if f_max < 2:
         raise ValueError("f_max must be at least 2")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     candidates = _pair_candidates(f_max)
 
     def pair(i: int) -> tuple[RootOfUnity, RootOfUnity]:
@@ -464,8 +463,8 @@ def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 1
     av_orbit_feasibility; every candidate it excludes is returned with its
     refutation total (>= 1).
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     classes, _ = classify_pairs(f_max, MODE_VALUE_UNION)
     bases = {c.pair for c in classes}
     bases.add(REFERENCE_TRIPLE)

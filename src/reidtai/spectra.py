@@ -4,8 +4,8 @@ A finite-order linear map has eigenvalues e(r_1), ..., e(r_n) with
 0 <= r_i < 1; its age is the exact rational r_1 + ... + r_n.  An element
 is exceptional when 0 < age < 1, and a collection of elements satisfies
 the Reid-Tai condition when none of them is exceptional.  Ages, powers
-and arc widths are exact; only trace magnitudes go through floating
-point.
+and arc widths in turns are exact; only the arc width in radians goes
+through floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .records import Record
-from .roots import RootOfUnity, conjugate
+from .roots import RootOfUnity
 
 __all__ = [
     "Spectrum",
@@ -62,11 +62,8 @@ class Spectrum(Record):
         return 0 < a < 1
 
     def power(self, k: int) -> "Spectrum":
-        """Eigenvalues of the k-th power: each r maps to k*r mod 1."""
+        """Eigenvalues of the k-th power: each r maps to k*r mod 1, so power(-1) is the complex conjugate."""
         return Spectrum(RootOfUnity(k * v.numerator, v.denominator) for v in self.values)
-
-    def conjugate(self) -> "Spectrum":
-        return Spectrum(conjugate(v) for v in self.values)
 
     def arc_width_turns(self) -> Fraction:
         """Shortest closed arc containing all eigenvalues, in turns (exact)."""
@@ -81,18 +78,8 @@ class Spectrum(Record):
         """Shortest closed arc containing all eigenvalues, in radians."""
         return 2 * math.pi * float(self.arc_width_turns())
 
-    def trace_magnitude(self) -> float:
-        """|sum of e(r)| in double precision."""
-        re = math.fsum(math.cos(2 * math.pi * v.numerator / v.denominator) for v in self.values)
-        im = math.fsum(math.sin(2 * math.pi * v.numerator / v.denominator) for v in self.values)
-        return math.hypot(re, im)
-
     def to_json(self) -> list[str]:
         return [str(v) for v in self.values]
-
-    @classmethod
-    def from_json(cls, payload: Iterable[str]) -> "Spectrum":
-        return cls(Fraction(s) for s in payload)
 
 
 def satisfies_rt(elements: Iterable[Spectrum]) -> bool:

@@ -58,7 +58,6 @@ __all__ = [
     "filtration",
     "rt_tangent_sublattice",
     "simple_av_screen",
-    "verdict",
 ]
 
 KODAIRA_ZERO = "KodairaZero"
@@ -110,15 +109,6 @@ class AffineTorusMap(Record):
     def rank(self) -> int:
         return len(self.linear)
 
-    def is_identity(self) -> bool:
-        return self.linear == identity(self.rank) and self.denominator == 1
-
-    def apply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            (sum(Fraction(c) * Fraction(v) for c, v in zip(row, x)) + t) % 1
-            for row, t in zip(self.linear, self.translation)
-        )
-
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other: x -> self(other(x))."""
         d = math.lcm(self.denominator, other.denominator)
@@ -126,14 +116,6 @@ class AffineTorusMap(Record):
         fb = d // other.denominator
         t = tuple(a * fb + s * fa for a, s in zip(mat_vec(self.linear, other.numerators), self.numerators))
         return AffineTorusMap._trusted(mat_mul(self.linear, other.linear), t, d)
-
-    def inverse(self) -> "AffineTorusMap":
-        minv = unimodular_inverse(self.linear)
-        return AffineTorusMap._trusted(minv, (-x for x in mat_vec(minv, self.numerators)), self.denominator)
-
-    def sort_key(self):
-        """The canonical order; ``groups.canonical`` sorts a set the same way on ints."""
-        return (self.linear, self.translation)
 
     def to_json(self) -> dict:
         return {
@@ -348,11 +330,6 @@ def filtration(action: TorusAction) -> FiltrationReport:
         verdict=result,
         stage_exceptional_counts=tuple(counts),
     )
-
-
-def verdict(action: TorusAction) -> str:
-    """KodairaZero, UniruledNotRC, or RationallyConnected."""
-    return filtration(action).verdict
 
 
 # ---------------------------------------------------------------------------

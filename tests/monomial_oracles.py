@@ -8,6 +8,7 @@ second path to ``conjugacy_class``: it conjugates with two ``compose`` calls.
 (Z/m)^n until the set is closed.
 """
 
+from element_oracles import sort_key
 from group_oracles import generate
 from reidtai.groups import canonical
 from reidtai.monomial import (
@@ -76,7 +77,7 @@ def listing_scan(group, reflection_rep: bool = False) -> PropProdReport:
                 is_transposition=cls[0].is_transposition(),
             )
         )
-    entries.sort(key=lambda e: (e.age, e.representative.sort_key()))
+    entries.sort(key=lambda e: (e.age, sort_key(e.representative)))
     violations = tuple(
         e for e in entries if group.degree >= 2 and e.closure_index == 1 and not e.is_transposition
     )

@@ -685,6 +685,12 @@ class TestGolden:
         for name in ("table1.json", "table2.json", "pairs.json", "orders.json", "multisets.json"):
             assert json.loads((tmp_path / name).read_text())["schema"] == 1
 
+    def test_repository_holds_only_the_computed_files(self):
+        # check_golden reads only the computed names, so it would pass a stale extra file
+        from reidtai.golden import compute_golden
+
+        assert sorted(path.name for path in (REPO / "golden").iterdir()) == sorted(compute_golden())
+
     def test_write_into_regular_file_exit_2(self, tmp_path, capsys):
         target = tmp_path / "not_a_dir"
         target.write_text("keep")
@@ -836,6 +842,14 @@ class TestDeviationCommand:
         bfile.write_text(json.dumps([[1], [2]]))  # entries are not [re, im] pairs
         assert main(["deviation", "--matrix", str(mfile), "--basis", str(bfile)]) == 2
         assert capsys.readouterr().err.startswith("error: bad basis file")
+
+    def test_basis_of_another_dimension_exit_2(self, tmp_path, capsys):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps([[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]))  # diag(-1, 1)
+        bfile = tmp_path / "b.json"
+        bfile.write_text(json.dumps([[[1, 0]]]))
+        assert main(["deviation", "--matrix", str(mfile), "--basis", str(bfile)]) == 2
+        assert capsys.readouterr().err == "error: basis dimension 1 does not match operator dimension 2\n"
 
     def test_simple_av_screen(self, capsys):
         assert main(["--format", "json", "simple-av-screen", "--dim", "4"]) == 0

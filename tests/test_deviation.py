@@ -52,6 +52,10 @@ class TestDeviationWrtBasis:
         with pytest.raises(ValueError):
             deviation_wrt_basis([[2, 0], [0, 1]])
 
+    def test_basis_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^basis dimension 1 does not match operator dimension 2$"):
+            deviation_wrt_basis(np.eye(2), np.eye(1))
+
     def test_unitary_basis_change_invariance(self):
         rng = np.random.default_rng(101)
         for _ in range(20):
@@ -102,6 +106,10 @@ class TestProductBound:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             product_bound_check([np.eye(2), np.eye(3)])
+
+    def test_basis_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^basis dimension 3 does not match operator dimension 2$"):
+            product_bound_check([np.eye(2)], [np.eye(3)])
 
     def test_seeded_random_trials(self):
         rng = random.Random(2024)

@@ -301,7 +301,7 @@ class TestCyclotomicSpectrum:
             m = _block_diag(blocks)
             spec = cyclotomic_spectrum(m)
             inv_spec = cyclotomic_spectrum(unimodular_inverse(m))
-            assert inv_spec == spec.conjugate()
+            assert inv_spec == spec.power(-1)
             nontrivial = sum(1 for v in spec.values if v != 0)
             assert spec.age() + inv_spec.age() == nontrivial
 

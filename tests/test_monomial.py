@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from element_oracles import from_phases, is_identity
 from monomial_oracles import compose_class, listing_scan, span_order
 
 from reidtai.deviation import monomial_matrix
@@ -31,7 +32,7 @@ from reidtai.spectra import Spectrum
 
 
 def elem(perm, phases):
-    return MonomialElement.from_phases(perm, phases)
+    return from_phases(perm, phases)
 
 
 def _normal_closure_oracle(g, group):
@@ -73,8 +74,8 @@ class TestMonomialElement:
         for _ in range(50):
             n = rng.randint(1, 4)
             g = elem(tuple(rng.sample(range(n), n)), [Fraction(rng.randrange(8), 8) for _ in range(n)])
-            assert g.compose(g.inverse()).is_identity()
-            assert g.inverse().compose(g).is_identity()
+            assert is_identity(g.compose(g.inverse()))
+            assert is_identity(g.inverse().compose(g))
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from reidtai.roots import (
     RootOfUnity,
-    conjugate,
     euler_phi,
     over_common_modulus,
     over_least_modulus,
     unit_classes,
 )
+from reidtai.spectra import Spectrum
 
 _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -21,6 +21,12 @@ _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
 def twist(k, z):
     """The Galois automorphism e(x) -> e(k*x) for a unit k mod order(z)."""
     return RootOfUnity(k * z.numerator, z.denominator)
+
+
+def conjugate(z):
+    """Complex conjugation e(x) -> e(-x): the power -1 of a one-value spectrum."""
+    (value,) = Spectrum([z]).power(-1)
+    return value
 
 
 def _phi_bruteforce(d):
