@@ -13,7 +13,8 @@ connected, and full rank means rationally connected.
 
 from fractions import Fraction
 
-from reidtai.torus import AffineTorusMap, closure, filtration, simple_av_screen
+from reidtai.search import simple_av_screen
+from reidtai.torus import AffineTorusMap, closure, filtration
 
 F = Fraction
 

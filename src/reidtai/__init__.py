@@ -37,9 +37,11 @@ _EXPORTS = {
         "feasible_orders",
         "min_age_same_order",
         "min_halforbit_sum",
+        "simple_av_screen",
         "table1",
     ),
     "monomial": (
+        "GGroup",
         "MonomialElement",
         "MonomialGroup",
         "g_group",
@@ -59,7 +61,6 @@ _EXPORTS = {
         "exceptional_elements",
         "filtration",
         "rt_tangent_sublattice",
-        "simple_av_screen",
     ),
     "deviation": (
         "deviation_wrt_basis",

@@ -26,9 +26,10 @@ from .options import worker_count
 _ENGINE_NAMES = {
     "monomial": ("g_group", "g_group_order", "prop_prod_check"),
     "imprimitive": ("imprimitive_classification",),
-    "search": ("classify_pairs", "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order", "table1"),
+    "search": ("classify_pairs", "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order",
+               "simple_av_screen", "table1"),
     "spectra": ("Spectrum",),
-    "torus": ("AffineTorusMap", "closure", "filtration", "simple_av_screen"),
+    "torus": ("AffineTorusMap", "closure", "filtration"),
 }
 
 
@@ -53,7 +54,7 @@ _COMMANDS = {
     "same-order-screen": ("minimal age of same-order block spectra", "search"),
     "av-verdict": ("Kodaira verdict for an affine torus action", "torus"),
     "filtration": ("full exceptional-tangent filtration report", "torus"),
-    "simple-av-screen": ("same-order survivors per order, one dimension", "torus"),
+    "simple-av-screen": ("same-order survivors per order, one dimension", "search"),
     "monomial-check": ("exceptional-element scan of G(m,p,n)", "monomial"),
     "imprimitive-cases": ("line-swap candidates and the square test", "monomial"),
     "deviation": ("deviation of a spectrum or an explicit matrix", "deviation"),

@@ -1,4 +1,5 @@
-"""Handlers of the machine searches: ``table1``, ``orders-scan``, ``pair-search``, ``multisets`` and ``same-order-screen``."""
+"""Handlers of the machine searches: ``table1``, ``orders-scan``, ``pair-search``, ``multisets``,
+``same-order-screen`` and ``simple-av-screen``."""
 
 from __future__ import annotations
 
@@ -95,6 +96,21 @@ def _cmd_same_order_screen(args) -> int:
     return EXIT_OK
 
 
+def _cmd_simple_av_screen(args) -> int:
+    from ..search import simple_av_screen
+
+    report = simple_av_screen(args.dim, d_max=args.bound)
+    payload = report.to_json()
+
+    def render(p):
+        print(f"dim {p['dim']}: survivors {p['survivors']}")
+        if p["extra_survivors"]:
+            print(f"extra-order survivors {p['extra_survivors']}")
+
+    _emit(payload, args.format, render)
+    return EXIT_OK
+
+
 _F_MAX = ("--f-max", {"type": int, "default": 126})
 _MODE = ("--mode", {"choices": MODES, "default": MODE_VALUE_UNION})
 
@@ -110,5 +126,9 @@ HANDLERS = {
     "same-order-screen": (_cmd_same_order_screen, (
         ("--n", {"type": int, "required": True}),
         ("--dim", {"type": int, "required": True}),
+    )),
+    "simple-av-screen": (_cmd_simple_av_screen, (
+        ("--dim", {"type": int, "required": True}),
+        ("--bound", {"type": int, "default": 372}),
     )),
 }

@@ -1,4 +1,4 @@
-"""Handlers of the torus-quotient commands: ``av-verdict``, ``filtration`` and ``simple-av-screen``."""
+"""Handlers of the torus-quotient commands: ``av-verdict`` and ``filtration``."""
 
 from __future__ import annotations
 
@@ -52,26 +52,7 @@ def _cmd_filtration(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simple_av_screen(args) -> int:
-    from ..torus import simple_av_screen
-
-    report = simple_av_screen(args.dim, d_max=args.bound)
-    payload = report.to_json()
-
-    def render(p):
-        print(f"dim {p['dim']}: survivors {p['survivors']}")
-        if p["extra_survivors"]:
-            print(f"extra-order survivors {p['extra_survivors']}")
-
-    _emit(payload, args.format, render)
-    return EXIT_OK
-
-
 HANDLERS = {
     "av-verdict": (_cmd_av_verdict, (("input", {"help": "JSON file: {rank, generators: [{matrix, translation}]}"}),)),
     "filtration": (_cmd_filtration, (("input", {}),)),
-    "simple-av-screen": (_cmd_simple_av_screen, (
-        ("--dim", {"type": int, "required": True}),
-        ("--bound", {"type": int, "default": 372}),
-    )),
 }

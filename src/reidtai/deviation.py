@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .monomial import MonomialGroup, MonomialElement
+from .monomial import GGroup, MonomialGroup, MonomialElement
 from .records import Record
 from .spectra import Spectrum
 
@@ -205,7 +205,7 @@ class InvariantDimensionReport(Record):
 # No subcommand calls this; kept for `demos/deviation_bounds.py`.
 def invariant_dimension(group) -> InvariantDimensionReport:
     """dim of invariants = average of traces over a closed finite matrix group."""
-    if isinstance(group, MonomialGroup):
+    if isinstance(group, (MonomialGroup, GGroup)):
         mats = [monomial_matrix(g) for g in group.elements]
     else:
         mats = [np.asarray(m, dtype=complex) for m in group]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cached_property
+from itertools import combinations
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ from .spectra import Spectrum
 
 __all__ = [
     "ExceptionalClassEntry",
+    "GGroup",
     "GroupTooLargeError",
     "MonomialElement",
     "MonomialGroup",
@@ -148,52 +150,51 @@ def spectrum_of(g: MonomialElement) -> Spectrum:
 
 
 class MonomialGroup(Record):
-    """A finite monomial group: its degree, its elements in canonical order and generators.
-
-    A G(m, p, n) from ``g_group`` answers ``order`` and membership from its
-    parameters and lists its elements only when they are first read.
-    """
+    """A finite monomial group: its degree, its elements in canonical order and generators."""
 
     degree: int
     elements: tuple[MonomialElement, ...]
     generators: tuple[MonomialElement, ...]
-    _parameters = None  # (m, p) of a G(m, p, n) from g_group; not a field
 
     def __init__(self, degree: int, elements: tuple[MonomialElement, ...], generators: tuple[MonomialElement, ...]):
         super().__init__(degree, elements, generators)
         object.__setattr__(self, "_members", frozenset(elements))  # for membership; not a field
 
-    @classmethod
-    def _parametric(cls, m: int, p: int, n: int, generators: tuple[MonomialElement, ...]) -> "MonomialGroup":
-        group = object.__new__(cls)
-        object.__setattr__(group, "degree", n)
-        object.__setattr__(group, "generators", generators)
-        object.__setattr__(group, "_parameters", (m, p))
-        return group
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
-    def __getattr__(self, name):
-        # reached only for an attribute that is not set: a G(m, p, n) lists its elements on the first read
-        if name not in ("elements", "_members") or self._parameters is None:
-            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-        m, p = self._parameters
-        phases = [over_least_modulus(ks, m) for ks in product(range(m), repeat=self.degree) if sum(ks) % p == 0]
-        elements = tuple(MonomialElement._trusted(s, *ks) for s in permutations(range(self.degree)) for ks in phases)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_members", frozenset(elements))
-        return getattr(self, name)
+    def __contains__(self, g: MonomialElement) -> bool:
+        return g in self._members
+
+
+class GGroup(Record):
+    """G(m, p, n) from ``g_group``: ``order`` and membership come from the parameters.
+
+    Its elements are listed by the closure engine, in canonical order, only
+    when ``elements`` is first read; the fields, so ``==``, ``hash`` and
+    ``repr``, never list them.
+    """
+
+    m: int
+    p: int
+    degree: int
+    generators: tuple[MonomialElement, ...]
 
     @property
     def order(self) -> int:
-        if self._parameters is None:
-            return len(self.elements)
-        return g_group_order(*self._parameters, self.degree)
+        return g_group_order(self.m, self.p, self.degree)
 
     def __contains__(self, g: MonomialElement) -> bool:
-        if self._parameters is None:
-            return g in self._members
         # phases in mu_m whose product lies in mu_{m/p}
-        m, p = self._parameters
+        m, p = self.m, self.p
         return g.degree == self.degree and m % g.modulus == 0 and sum(g.phase_numerators) * (m // g.modulus) % p == 0
+
+    @cached_property
+    def elements(self) -> tuple[MonomialElement, ...]:
+        if not self.generators:  # G(m, m, 1) is trivial
+            return (monomial_identity(self.degree),)
+        return _listed(self.generators, self.order)[0]
 
 
 def _extension(elements: Sequence[MonomialElement], bound: int):
@@ -240,12 +241,8 @@ def g_group_order(m: int, p: int, n: int) -> int:
     return m**n * math.factorial(n) // p
 
 
-def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
-    """G(m, p, n): phases in mu_m with product in mu_{m/p}, times every permutation.
-
-    Its elements are listed in canonical order when first read: every
-    permutation, then every phase vector.
-    """
+def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> GGroup:
+    """G(m, p, n): phases in mu_m with product in mu_{m/p}, times every permutation."""
     if m < 1 or n < 1 or p < 1 or m % p:
         raise ValueError("need m, n >= 1 and p | m")
     size = 1  # m^n n! / p > cap iff the running product m^i i! passes cap * p at some i <= n
@@ -263,10 +260,10 @@ def g_group(m: int, p: int, n: int, cap: int = 1_000_000) -> MonomialGroup:
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(MonomialElement(tuple(perm), (0,) * n, 1))
-    return MonomialGroup._parametric(m, p, n, tuple(gens))
+    return GGroup(m, p, n, tuple(gens))
 
 
-def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialElement, ...]:
+def conjugacy_class(g: MonomialElement, group: MonomialGroup | GGroup) -> tuple[MonomialElement, ...]:
     """Orbit of g under conjugation by the group's generators.
 
     Each conjugate is built in one pass: for h = (s, a) and x = (t, k),
@@ -300,7 +297,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup) -> tuple[MonomialE
 
 
 # No subcommand calls this; kept for `demos/monomial_reflection_groups.py` and as a `bench/tracer.py` target.
-def normal_closure(g: MonomialElement, group: MonomialGroup, cap: int = 1_000_000) -> MonomialGroup:
+def normal_closure(g: MonomialElement, group: MonomialGroup | GGroup, cap: int = 1_000_000) -> MonomialGroup:
     """Smallest normal subgroup of the group containing g.
 
     The subgroup generated by the conjugacy class; its generators are the
@@ -395,7 +392,7 @@ def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
     return group_order if result is None else len(result[0]) * result[1].order
 
 
-def prop_prod_check(group: MonomialGroup, reflection_rep: bool = False) -> PropProdReport:
+def prop_prod_check(group: MonomialGroup | GGroup, reflection_rep: bool = False) -> PropProdReport:
     """Scan a monomial group for exceptional elements, per conjugacy class.
 
     Entries whose normal closure is the whole group must have transposition

@@ -11,7 +11,8 @@ Four searches, all exact:
 * the enumeration of exceptional eigenvalue multisets built from those
   pairs;
 * the same-order screen: minimal age of a multiset of primitive n-th
-  roots that is a disjoint union of half-orbit and full-orbit blocks.
+  roots that is a disjoint union of half-orbit and full-orbit blocks,
+  and that screen over the feasible orders in one dimension.
 
 Two pair/multiset feasibility predicates are implemented.  The
 ``value-union`` mode sums the distinct values of the twist family; the
@@ -41,6 +42,7 @@ __all__ = [
     "OrbitClass",
     "PairDecision",
     "SigmaWitness",
+    "SimpleAvScreenReport",
     "Table1Row",
     "CONFIRMED_ORDERS",
     "REFERENCE_MULTISETS",
@@ -54,6 +56,7 @@ __all__ = [
     "feasible_orders",
     "min_age_same_order",
     "min_halforbit_sum",
+    "simple_av_screen",
     "table1",
 ]
 
@@ -328,14 +331,12 @@ class PairDecision(Record):
 
 
 def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecision:
-    """Decide a pair given in ascending order."""
+    """Decide a pair given in ascending order, in a mode ``classify_pairs`` has checked."""
     if mode == MODE_VALUE_UNION:
         total, witness, values = _value_union_minimum(*pair)
         return PairDecision(pair, mode, total < 1, total, witness=witness, values=values)
-    if mode == MODE_ORBIT_SETS:
-        orbit = av_orbit_feasibility(pair)
-        return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    orbit = av_orbit_feasibility(pair)
+    return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
 
 
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
@@ -538,3 +539,40 @@ def min_age_same_order(n: int, dim: int) -> Fraction | None:
         if best is None or age < best:
             best = age
     return best
+
+
+class SimpleAvScreenReport(Record):
+    dim: int
+    survivors: dict[int, Fraction]
+    extra_survivors: dict[int, Fraction]
+    scanned_orders: tuple[int, ...]
+    extra_orders: tuple[int, ...]
+
+
+def simple_av_screen(dim: int, d_max: int = 372) -> SimpleAvScreenReport:
+    """Which same-order eigenvalue configurations stay exceptional in a given dimension.
+
+    The headline scan runs over the confirmed order set; orders that the
+    literal half-orbit predicate additionally admits are screened
+    separately so their survivors are visible but clearly marked.
+    """
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    computed, _ = feasible_orders(d_max)
+    extra_orders = tuple(d for d in computed if d not in CONFIRMED_ORDERS)
+
+    def scan(orders: Iterable[int]) -> dict[int, Fraction]:
+        found = {}
+        for order in orders:
+            age = min_age_same_order(order, dim)
+            if age is not None and 0 < age < 1:
+                found[order] = age
+        return found
+
+    return SimpleAvScreenReport(
+        dim=dim,
+        survivors=scan(CONFIRMED_ORDERS),
+        extra_survivors=scan(extra_orders),
+        scanned_orders=CONFIRMED_ORDERS,
+        extra_orders=extra_orders,
+    )

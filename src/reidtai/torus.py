@@ -47,7 +47,6 @@ __all__ = [
     "ExceptionalElement",
     "FiltrationReport",
     "GroupTooLargeError",
-    "SimpleAvScreenReport",
     "TorusAction",
     "KODAIRA_ZERO",
     "RATIONALLY_CONNECTED",
@@ -57,7 +56,6 @@ __all__ = [
     "exceptional_elements",
     "filtration",
     "rt_tangent_sublattice",
-    "simple_av_screen",
 ]
 
 KODAIRA_ZERO = "KodairaZero"
@@ -329,48 +327,4 @@ def filtration(action: TorusAction) -> FiltrationReport:
         chain=tuple(chain),
         verdict=result,
         stage_exceptional_counts=tuple(counts),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Same-order screen for simple quotients
-# ---------------------------------------------------------------------------
-
-
-class SimpleAvScreenReport(Record):
-    dim: int
-    survivors: dict[int, Fraction]
-    extra_survivors: dict[int, Fraction]
-    scanned_orders: tuple[int, ...]
-    extra_orders: tuple[int, ...]
-
-
-def simple_av_screen(dim: int, d_max: int = 372) -> SimpleAvScreenReport:
-    """Which same-order eigenvalue configurations stay exceptional in a given dimension.
-
-    The headline scan runs over the confirmed order set; orders that the
-    literal half-orbit predicate additionally admits are screened
-    separately so their survivors are visible but clearly marked.
-    """
-    from .search import CONFIRMED_ORDERS, feasible_orders, min_age_same_order
-
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    computed, _ = feasible_orders(d_max)
-    extra_orders = tuple(d for d in computed if d not in CONFIRMED_ORDERS)
-
-    def scan(orders: Iterable[int]) -> dict[int, Fraction]:
-        found = {}
-        for order in orders:
-            age = min_age_same_order(order, dim)
-            if age is not None and 0 < age < 1:
-                found[order] = age
-        return found
-
-    return SimpleAvScreenReport(
-        dim=dim,
-        survivors=scan(CONFIRMED_ORDERS),
-        extra_survivors=scan(extra_orders),
-        scanned_orders=CONFIRMED_ORDERS,
-        extra_orders=extra_orders,
     )

@@ -4,9 +4,13 @@
 group, computes the age of every element from its cycles, and closes each
 exceptional class with ``group_oracles.generate``.  ``compose_class`` is a
 second path to ``conjugacy_class``: it conjugates with two ``compose`` calls.
+``g_group_listing`` is a second path to the elements of a G(m, p, n): every
+permutation times every phase vector, with no closure.
 ``span_order`` is a second path to the phase span: it adds vectors in
 (Z/m)^n until the set is closed.
 """
+
+from itertools import permutations, product
 
 from element_oracles import sort_key
 from group_oracles import generate
@@ -18,7 +22,7 @@ from reidtai.monomial import (
     monomial_identity,
     spectrum_of,
 )
-from reidtai.roots import RootOfUnity
+from reidtai.roots import RootOfUnity, over_least_modulus
 from reidtai.spectra import Spectrum
 
 
@@ -37,6 +41,12 @@ def compose_class(g, group) -> tuple:
                     new.append(y)
         frontier = new
     return canonical(seen, MonomialElement._values)
+
+
+def g_group_listing(m: int, p: int, n: int) -> tuple:
+    """The elements of G(m, p, n) in canonical order: every permutation, then every phase vector with sum 0 mod p."""
+    phases = [over_least_modulus(ks, m) for ks in product(range(m), repeat=n) if sum(ks) % p == 0]
+    return tuple(MonomialElement._trusted(s, *ks) for s in permutations(range(n)) for ks in phases)
 
 
 def listing_scan(group, reflection_rep: bool = False) -> PropProdReport:

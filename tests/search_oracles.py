@@ -4,13 +4,16 @@ import math
 from fractions import Fraction
 
 from reidtai.roots import RootOfUnity, unit_classes
+from reidtai.options import MODES
 from reidtai.search import MODE_VALUE_UNION, PairDecision, _decide_pair, min_halforbit_sum
 
 
 def pair_feasible(a: int, b: int, f: int, mode: str = MODE_VALUE_UNION) -> PairDecision:
-    """Decide feasibility of the value pair {e(a/f), e(b/f)}; requires 0 < a < b < f."""
+    """Decide feasibility of the value pair {e(a/f), e(b/f)}; requires 0 < a < b < f and a known mode."""
     if not 0 < a < b < f:
         raise ValueError("need 0 < a < b < f")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     alpha = RootOfUnity(a, f)
     beta = RootOfUnity(b, f)
     if alpha == 0 or beta == 0:

@@ -40,6 +40,7 @@ from reidtai.search import (
     enumerate_exceptional_multisets,
     feasible_orders,
     min_age_same_order,
+    simple_av_screen,
     table1,
 )
 from reidtai.spectra import Spectrum
@@ -51,7 +52,6 @@ from reidtai.torus import (
     closure,
     exceptional_elements,
     filtration,
-    simple_av_screen,
 )
 from reidtai.witness import verify as _verify_witness_payload
 from search_oracles import subset_min_sum as _subset_min_sum

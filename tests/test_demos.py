@@ -1,4 +1,4 @@
-"""The demo scripts run to completion against the source tree."""
+"""The demo scripts run to completion against the source tree and print the bytes in ``tests/snapshots/demo-*.out``."""
 
 import os
 import subprocess
@@ -17,10 +17,10 @@ def test_demo_runs(name):
     result = subprocess.run(
         [sys.executable, str(REPO / "demos" / f"{name}.py")],
         capture_output=True,
-        text=True,
         cwd=REPO,
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr.decode()
+    assert b"Traceback" not in result.stderr
+    assert result.stdout == (REPO / "tests" / "snapshots" / f"demo-{name}.out").read_bytes()

@@ -23,12 +23,12 @@ PUBLIC = {
                 "saturate", "snf", "solve_torus_congruence", "sublattice_from_rows"),
     "search": ("MODE_ORBIT_SETS", "MODE_VALUE_UNION", "av_orbit_feasibility", "classify_pairs",
                "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order", "min_halforbit_sum",
-               "table1"),
-    "monomial": ("MonomialElement", "MonomialGroup", "g_group", "monomial_closure", "normal_closure",
+               "simple_av_screen", "table1"),
+    "monomial": ("GGroup", "MonomialElement", "MonomialGroup", "g_group", "monomial_closure", "normal_closure",
                  "prop_prod_check", "spectrum_of"),
     "imprimitive": ("imprimitive_classification",),
     "torus": ("KODAIRA_ZERO", "RATIONALLY_CONNECTED", "UNIRULED_NOT_RC", "AffineTorusMap", "TorusAction", "closure",
-              "exceptional_elements", "filtration", "rt_tangent_sublattice", "simple_av_screen"),
+              "exceptional_elements", "filtration", "rt_tangent_sublattice"),
     "deviation": ("deviation_wrt_basis", "eigenbasis_deviation", "extraspecial_bound", "extraspecial_scan",
                   "invariant_dimension", "product_bound_check", "tensor_perm_trace_check"),
 }
@@ -37,7 +37,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 class TestNamespace:
     def test_all_lists_the_public_names(self):
-        assert len(NAMES) == 49
+        assert len(NAMES) == 50
         assert sorted(reidtai.__all__) == sorted(name for _, name in NAMES)
 
     @pytest.mark.parametrize("module,name", NAMES, ids=[name for _, name in NAMES])
@@ -71,30 +71,50 @@ class TestNamespace:
         used = set()
         for path in files:
             used |= _used_names(ast.parse(path.read_text()))
-        assert [name for name in _public_names(package) if name.rpartition(".")[2] not in used] == []
+        assert _unused(_public_names(package), used) == []
+
+    def test_a_member_named_only_in_another_class_path_is_unused(self):
+        # a tracer target names MonomialElement.inverse; no file reads .inverse or names AffineTorusMap.inverse
+        used = _used_names(ast.parse('TARGETS = {"elem": ("reidtai.monomial", "MonomialElement.inverse")}\n'
+                                     "print(inverse, AffineTorusMap)\n"))
+        members = [(f"{cls}.inverse", _member_keys(cls, "inverse")) for cls in ("AffineTorusMap", "MonomialElement")]
+        assert _unused(members, used) == ["AffineTorusMap.inverse"]
+        assert _unused(members, _used_names(ast.parse("g.inverse()\n"))) == []
+
+
+def _member_keys(cls: str, member: str) -> tuple[str, str]:
+    """The uses that count for a class member: an attribute read ``.member`` or ``Class.member`` in a string."""
+    return f".{member}", f"{cls}.{member}"
 
 
 def _public_names(package: Path):
     """Each module's ``__all__``, the package's included, and the public methods and properties of its classes.
 
-    A member that overrides a base-class method is left out: the base class's callers reach it.
+    Each comes with the uses that count for it (see ``_used_names``): a module-level name any use of the name, a
+    member the keys of ``_member_keys``.  A member that overrides a base-class method is left out: the base class's
+    callers reach it.
     """
     for path in sorted(package.rglob("*.py")):
         dotted = ".".join(path.relative_to(package.parent).with_suffix("").parts).removesuffix(".__init__")
         module = importlib.import_module(dotted)
-        yield from (f"{module.__name__}.{name}" for name in getattr(module, "__all__", ()))
+        yield from ((f"{module.__name__}.{name}", (name,)) for name in getattr(module, "__all__", ()))
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
                 bases = getattr(module, node.name).__mro__[1:]
                 yield from (
-                    f"{node.name}.{member.name}" for member in node.body
+                    (f"{node.name}.{member.name}", _member_keys(node.name, member.name)) for member in node.body
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                     and not any(hasattr(base, member.name) for base in bases)
                 )
 
 
+def _unused(public, used: set[str]) -> list[str]:
+    return [name for name, keys in public if used.isdisjoint(keys)]
+
+
 def _used_names(tree: ast.Module) -> set[str]:
-    """Names a module uses as an identifier, an attribute or a string equal to the name or to a part of a dotted path.
+    """The uses in a module: each identifier; each attribute both bare and as ``.attr`` when it is read; each part of
+    a string split at its dots, and each pair ``A.b`` of adjacent parts.
 
     A module-level definition's uses of its own name, and the strings of ``__all__``, do not count.
     """
@@ -108,8 +128,12 @@ def _used_names(tree: ast.Module) -> set[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    names.add(f".{node.attr}")
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(node.value.split("."))
+                parts = node.value.split(".")
+                names.update(parts)
+                names.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]))
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
             names.discard(statement.name)
         used |= names
@@ -177,9 +201,11 @@ def loaded_modules(*argv: str) -> set[str]:
         (("orders-scan", "--bound", "30"), SEARCH_ONLY),
         (("pair-search", "--f-max", "12"), SEARCH_ONLY),
         (("multisets", "--f-max", "12", "--mode", "orbit-sets"), SEARCH_ONLY),
+        (("simple-av-screen", "--dim", "4"), SEARCH_ONLY),
         (("age", "--spectrum", "1/6,1/3"), SEARCH_ONLY + ("search",)),
     ],
-    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "pair-search", "multisets", "age"],
+    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "pair-search", "multisets",
+         "simple-av-screen", "age"],
 )
 def test_command_loads_only_its_engine(argv, absent):
     modules = loaded_modules(*argv)

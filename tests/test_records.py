@@ -22,7 +22,7 @@ from payloads import assert_payload_close
 from search_oracles import pair_feasible
 from reidtai import deviation, imprimitive, lattice, monomial, roots, search, torus
 from reidtai.lattice import sublattice_from_rows
-from reidtai.monomial import MonomialGroup, g_group
+from reidtai.monomial import MonomialGroup, g_group, monomial_closure
 from reidtai.records import Record, json_value
 from reidtai.roots import RootOfUnity, unit_classes
 from reidtai.search import MODE_ORBIT_SETS, MODE_VALUE_UNION, PairDecision, enumerate_exceptional_multisets
@@ -82,7 +82,7 @@ def assert_matches_twin(record: Record) -> None:
 
 
 def test_every_report_class_is_a_record():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 24
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     assert not dataclasses.is_dataclass(monomial.MonomialElement) and not dataclasses.is_dataclass(AffineTorusMap)
 
@@ -223,7 +223,7 @@ def test_exceptional_elements_and_their_reports():
 
 
 def test_monomial_group_members_are_not_a_field():
-    group = g_group(2, 1, 2)
+    group = monomial_closure(g_group(2, 1, 2).generators)
     assert "_members" not in repr(group) and "_members" not in group._fields
     assert_matches_twin(group)
     same = MonomialGroup(group.degree, group.elements, group.generators)
@@ -234,6 +234,15 @@ def test_monomial_group_members_are_not_a_field():
     assert_matches_twin(report)
     for entry in report.entries:
         assert_matches_twin(entry)
+
+
+def test_a_g_group_lists_its_elements_outside_its_fields():
+    group = g_group(2, 1, 2)
+    assert group._fields == ("m", "p", "degree", "generators")
+    assert_matches_twin(group)
+    assert "elements" not in vars(group)
+    assert group.elements == monomial_closure(group.generators).elements and "elements" in vars(group)
+    assert_matches_twin(group)  # the listing takes no part in repr, == or hash
 
 
 # ---------------------------------------------------------------------------

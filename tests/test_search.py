@@ -418,6 +418,14 @@ def orbit():
     return enumerate_exceptional_multisets(MODE_ORBIT_SETS)
 
 
+def test_the_searches_refuse_an_unknown_mode():
+    message = r"^unknown mode 'bogus'; expected one of \('value-union', 'orbit-sets'\)$"
+    with pytest.raises(ValueError, match=message):
+        classify_pairs(12, "bogus")
+    with pytest.raises(ValueError, match=message):
+        enumerate_exceptional_multisets("bogus", 12)
+
+
 class TestClassifyPairs:
     def test_reference_pairs_found(self, value_union):
         classes, report = value_union
