@@ -45,6 +45,14 @@ class RootOfUnity(Fraction):
             value = Fraction(numerator, denominator)
         return super().__new__(cls, value % 1)
 
+    @classmethod
+    def _reduced(cls, x: int, d: int) -> RootOfUnity:
+        """e(x/d) for ints 0 <= x < d, reduced by their gcd without Fraction's parsing and normalisation."""
+        g = math.gcd(x, d)
+        root = object.__new__(cls)
+        root._numerator, root._denominator = x // g, d // g
+        return root
+
     @property
     def order(self) -> int:
         """Multiplicative order of e(a/d): the reduced denominator."""

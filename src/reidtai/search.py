@@ -139,12 +139,38 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
 # is "below M".  Over a fixed M the ints sort exactly as the fractions they
 # stand for, so every sort, prune and tie-break gives what it gives on
 # Fractions; Fraction and RootOfUnity objects are built only for what the
-# kernels return.
+# kernels return, the roots by the trusted ``RootOfUnity._reduced``.  Each
+# search asks only whether a sum is below 1, so each kernel stops at M: the
+# value-union bound starts there, an orbit total outside (0, M) refutes a
+# pair or multiset before any root is built, and an order is tested by its
+# half-orbit numerator in closed form.
 
 
 # ---------------------------------------------------------------------------
 # Half-orbit sums and the order scan
 # ---------------------------------------------------------------------------
+
+
+def _halforbit_numerator(d: int) -> int:
+    """d * min_halforbit_sum(d)[0], the sum of the units u <= d/2, in closed form.
+
+    By Moebius inversion over the squarefree divisors e of d it is sum(mu(e) * e * k(k+1)/2), k = d // 2e.
+    """
+    signed = [1]  # mu(e) * e for each squarefree divisor e
+    n, p = d, 2
+    while p * p <= n:
+        if n % p == 0:
+            signed += [-e * p for e in signed]
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        signed += [-e * n for e in signed]
+    twice = 0
+    for e in signed:
+        k = d // (2 * abs(e))
+        twice += e * k * (k + 1)
+    return twice // 2
 
 
 def min_halforbit_sum(d: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -176,11 +202,10 @@ def feasible_orders(d_max: int = 372) -> tuple[tuple[int, ...], ConformanceRepor
     """All d <= d_max whose minimal half-orbit sum is below 1, with conformance."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    sums = {d: min_halforbit_sum(d) for d in range(2, d_max + 1)}
-    computed = tuple(d for d, (total, _) in sums.items() if total < 1)
+    computed = tuple(d for d in range(2, d_max + 1) if _halforbit_numerator(d) < d)
 
     def witness(d: int) -> dict:
-        total, reps = sums[d]
+        total, reps = min_halforbit_sum(d)
         return {"kind": "order", "d": d, "representatives": list(reps), "sum": str(total)}
 
     expected = tuple(d for d in CONFIRMED_ORDERS if d <= d_max)
@@ -223,7 +248,7 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
     scaled, modulus = over_common_modulus(ms)
     twists = {tuple(sorted(k * x % modulus for x in scaled)) for k in unit_classes(modulus).units}
     # Twisting by -k conjugates, so every conjugate twist is itself a twist.
-    root = {x: RootOfUnity(x, modulus) for x in set().union(*twists)}
+    root = {x: RootOfUnity._reduced(x, modulus) for x in set().union(*twists)}
 
     def lift(t: tuple[int, ...]) -> tuple[RootOfUnity, ...]:
         return tuple(root[x] for x in t)
@@ -245,6 +270,22 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
     return AvOrbitResult(Fraction(total, modulus), 0 < total < modulus, tuple(classes), modulus)
 
 
+def _orbit_total(scaled: Sequence[int], modulus: int) -> int:
+    """M times the ``av_orbit_feasibility`` total of the nonzero numerators ``scaled`` over M.
+
+    Twisting by -u conjugates, so one unit u per conjugate pair reaches
+    every class {t, conjugate of t}; its key is the smaller of the two, and
+    the conjugate of t sums to n*M - sum(t).
+    """
+    full = len(scaled) * modulus
+    ages = {}
+    for u, *_ in unit_classes(modulus).pairs:
+        t = sorted(u * x % modulus for x in scaled)
+        key = min(t, [modulus - x for x in reversed(t)])
+        ages[tuple(key)] = min(age := sum(t), full - age)
+    return sum(ages.values())
+
+
 # ---------------------------------------------------------------------------
 # Value-union feasibility and the pair search
 # ---------------------------------------------------------------------------
@@ -258,7 +299,7 @@ class SigmaWitness(Record):
 
 
 def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
-    """Exact minimum of sum(distinct twist values) over covering Galois sections.
+    """Least sum(distinct twist values) over covering Galois sections if below 1, else None.
 
     Branch-and-bound over one side per conjugate pair of units; the union
     only grows along a branch, so pruning at the current best is sound.
@@ -266,6 +307,12 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     Sides u and -u give the same value set exactly when b = -a; a second
     copy of a side could never beat the first, so only the smaller u is
     kept, and a conjugate pair {a, -a} is one path instead of 2^pairs leaves.
+
+    The bound starts at M, the sum 1.  The walk order is fixed and a branch
+    is pruned at >= the bound, so the search keeps the first leaf in that
+    order with the least sum S: no leaf before it and no prefix of its path
+    reaches S.  So any start bound above S, the unbounded search's included,
+    gives the same leaf, section and values; when S >= 1 no leaf is reached.
     """
     (a, b), modulus = over_common_modulus((alpha, beta))
     options = []
@@ -277,7 +324,7 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
     options.sort(key=lambda sides: (-sides[0][0], sides[0][1]))
 
     depth = len(options)
-    best_sum = modulus * modulus  # above any sum of distinct residues mod M
+    best_sum = modulus
     best_units: tuple[int, ...] = ()
     best_mask = 0
     chosen: list[int] = []
@@ -300,8 +347,10 @@ def _value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
             chosen.pop()
 
     rec(0, 0, 0)
+    if best_sum == modulus:
+        return None
     witness = SigmaWitness(modulus, tuple(sorted(set(best_units))))
-    values = tuple(RootOfUnity(x, modulus) for x in range(modulus) if best_mask >> x & 1)
+    values = tuple(RootOfUnity._reduced(x, modulus) for x in range(modulus) if best_mask >> x & 1)
     return Fraction(best_sum, modulus), witness, values
 
 
@@ -330,13 +379,13 @@ class PairDecision(Record):
         return payload
 
 
-def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecision:
-    """Decide a pair given in ascending order, in a mode ``classify_pairs`` has checked."""
-    if mode == MODE_VALUE_UNION:
-        total, witness, values = _value_union_minimum(*pair)
-        return PairDecision(pair, mode, total < 1, total, witness=witness, values=values)
-    orbit = av_orbit_feasibility(pair)
-    return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
+def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecision | None:
+    """Decide a pair given in ascending order, in a mode ``classify_pairs`` has checked; None if infeasible."""
+    if mode == MODE_ORBIT_SETS:
+        orbit = av_orbit_feasibility(pair)
+        return PairDecision(pair, mode, True, orbit.total, orbit=orbit) if orbit.feasible else None
+    found = _value_union_minimum(*pair)
+    return None if found is None else PairDecision(pair, mode, True, found[0], witness=found[1], values=found[2])
 
 
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
@@ -345,7 +394,7 @@ def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
     # conjugate pair of primitive d_alpha-th values, so its sum alone is
     # >= min_halforbit_sum(d_alpha); the orbit-sets total obeys the same
     # bound.  Orders with half-orbit sum >= 1 therefore never occur.
-    feasible_d = [d for d in range(2, f_max + 1) if min_halforbit_sum(d)[0] < 1]
+    feasible_d = [d for d in range(2, f_max + 1) if _halforbit_numerator(d) < d]
     units = {d: unit_classes(d).units for d in feasible_d}
     out = set()
     for i, da in enumerate(feasible_d):
@@ -393,20 +442,22 @@ def classify_pairs(
 
     def pair(i: int) -> tuple[RootOfUnity, RootOfUnity]:
         modulus, a, b = candidates[i]
-        return RootOfUnity(a, modulus), RootOfUnity(b, modulus)
+        return RootOfUnity._reduced(a, modulus), RootOfUnity._reduced(b, modulus)
 
     decisions = {}
     for first, *rest in _galois_orbits(candidates):
+        modulus, a, b = candidates[first]
+        if mode == MODE_ORBIT_SETS and not 0 < _orbit_total((a, b), modulus) < modulus:
+            continue  # refuted from ints, before any root is built
         decision = _decide_pair(pair(first), mode)
-        if not decision.feasible:
+        if decision is None:
             continue
         decisions[first] = decision
         for i in rest:
             # The orbit-sets result is the same for every member; a
             # value-union witness names the member's own section.
             if mode == MODE_ORBIT_SETS:
-                orbit = decision.orbit
-                decisions[i] = PairDecision(pair(i), mode, orbit.feasible, orbit.total, orbit=orbit)
+                decisions[i] = PairDecision(pair(i), mode, True, decision.minimal_sum, orbit=decision.orbit)
             else:
                 decisions[i] = _decide_pair(pair(i), mode)
     classes = tuple(d for _, d in sorted(decisions.items()))
@@ -460,9 +511,9 @@ def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 1
 
     Values are drawn from the classified pairs (value-union predicate) or
     the reference triple, each value appearing at least once, total sum
-    below 1.  In orbit-sets mode the multisets must additionally pass
-    av_orbit_feasibility; every candidate it excludes is returned with its
-    refutation total (>= 1).
+    below 1.  In orbit-sets mode the multisets must additionally pass the
+    av_orbit_feasibility test, read from the integer orbit total; every
+    candidate it excludes is returned with its refutation total (>= 1).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -481,12 +532,13 @@ def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 1
         kept = candidates
     else:
         for ms in candidates:
-            result = av_orbit_feasibility(ms)
-            orbit_totals[ms] = result.total
-            if result.feasible:
+            scaled, modulus = over_common_modulus(ms)
+            total = _orbit_total(scaled, modulus)
+            orbit_totals[ms] = Fraction(total, modulus)
+            if 0 < total < modulus:
                 kept.append(ms)
             else:
-                refuted.append((Spectrum(ms), result.total))
+                refuted.append((Spectrum(ms), orbit_totals[ms]))
 
     expected = tuple(tuple(sorted(vals)) for _, vals in REFERENCE_MULTISETS)
 

@@ -3,22 +3,74 @@
 import math
 from fractions import Fraction
 
-from reidtai.roots import RootOfUnity, unit_classes
+from reidtai.roots import RootOfUnity, over_common_modulus, unit_classes
 from reidtai.options import MODES
-from reidtai.search import MODE_VALUE_UNION, PairDecision, _decide_pair, min_halforbit_sum
+from reidtai.search import MODE_VALUE_UNION, PairDecision, SigmaWitness, av_orbit_feasibility, min_halforbit_sum
+
+
+def value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
+    """Exact minimum of sum(distinct twist values) over covering Galois sections, at or above 1 too.
+
+    The unbounded form of ``search._value_union_minimum``: the same walk and
+    prune, started at a bound above any sum of distinct residues mod M, so
+    it always reaches a leaf.  Sides u and -u give the same value set
+    exactly when b = -a; only the smaller u is kept.
+    """
+    (a, b), modulus = over_common_modulus((alpha, beta))
+    options = []
+    for pair in unit_classes(modulus).pairs:
+        sides: dict[frozenset[int], int] = {}
+        for u in pair:  # smaller unit first
+            sides.setdefault(frozenset((u * a % modulus, u * b % modulus)), u)
+        options.append(sorted((sum(vals), u, tuple((x, 1 << x) for x in vals)) for vals, u in sides.items()))
+    options.sort(key=lambda sides: (-sides[0][0], sides[0][1]))
+
+    depth = len(options)
+    best_sum = modulus * modulus  # above any sum of distinct residues mod M
+    best_units: tuple[int, ...] = ()
+    best_mask = 0
+    chosen: list[int] = []
+
+    def rec(i: int, mask: int, acc_sum: int):
+        nonlocal best_sum, best_units, best_mask
+        if acc_sum >= best_sum:
+            return
+        if i == depth:
+            best_sum, best_units, best_mask = acc_sum, tuple(chosen), mask
+            return
+        for _, u, vals in options[i]:
+            new_mask, new_sum = mask, acc_sum
+            for x, bit in vals:
+                if not new_mask & bit:
+                    new_mask |= bit
+                    new_sum += x
+            chosen.append(u)
+            rec(i + 1, new_mask, new_sum)
+            chosen.pop()
+
+    rec(0, 0, 0)
+    witness = SigmaWitness(modulus, tuple(sorted(set(best_units))))
+    values = tuple(RootOfUnity(x, modulus) for x in range(modulus) if best_mask >> x & 1)
+    return Fraction(best_sum, modulus), witness, values
 
 
 def pair_feasible(a: int, b: int, f: int, mode: str = MODE_VALUE_UNION) -> PairDecision:
-    """Decide feasibility of the value pair {e(a/f), e(b/f)}; requires 0 < a < b < f and a known mode."""
+    """Decide the value pair {e(a/f), e(b/f)}, with its exact minimal sum even when infeasible.
+
+    Requires 0 < a < b < f and a known mode.
+    """
     if not 0 < a < b < f:
         raise ValueError("need 0 < a < b < f")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    alpha = RootOfUnity(a, f)
-    beta = RootOfUnity(b, f)
-    if alpha == 0 or beta == 0:
+    pair = (RootOfUnity(a, f), RootOfUnity(b, f))
+    if 0 in pair:
         raise ValueError("degenerate pair: a value reduces to 1")
-    return _decide_pair((alpha, beta), mode)
+    if mode == MODE_VALUE_UNION:
+        total, witness, values = value_union_minimum(*pair)
+        return PairDecision(pair, mode, total < 1, total, witness=witness, values=values)
+    orbit = av_orbit_feasibility(pair)
+    return PairDecision(pair, mode, orbit.feasible, orbit.total, orbit=orbit)
 
 
 def subset_min_sum(d: int) -> Fraction:

@@ -364,9 +364,12 @@ class TestWitnessRoundTrip:
     def test_orbit_witness_checked_independently(self, command, tmp_path, monkeypatch, capsys):
         # The verifier must not trust the routine that made the witness: a
         # search whose orbit totals are all off by 1/M emits witnesses that fail.
+        # The pair search reads both the integer total and the lifted result,
+        # the multiset search only the integer total, so both are shifted.
         import reidtai.search as search
 
         original = search.av_orbit_feasibility
+        original_total = search._orbit_total
 
         def off_by_one_step(values):
             result = original(values)
@@ -374,6 +377,7 @@ class TestWitnessRoundTrip:
             return search.AvOrbitResult(total, 0 < total < 1, result.classes, result.modulus)
 
         monkeypatch.setattr(search, "av_orbit_feasibility", off_by_one_step)
+        monkeypatch.setattr(search, "_orbit_total", lambda scaled, modulus: original_total(scaled, modulus) + 1)
         monkeypatch.setattr("reidtai.cli.av_orbit_feasibility", off_by_one_step, raising=False)
         assert main(["--format", "json", *command]) == 0
         payload = json.loads(capsys.readouterr().out)

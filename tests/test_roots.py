@@ -124,6 +124,14 @@ class TestRootOfUnity:
         assert str(RootOfUnity(5, 18)) == "5/18"
         assert str(RootOfUnity(0, 3)) == "0"
 
+    def test_trusted_constructor_matches_the_checked_one(self):
+        for d in range(1, 61):
+            for x in range(d):
+                trusted, checked = RootOfUnity._reduced(x, d), RootOfUnity(x, d)
+                assert (trusted, type(trusted), str(trusted)) == (checked, type(checked), str(checked))
+                assert (hash(trusted), trusted.order) == (hash(checked), checked.order)
+        assert str(RootOfUnity._reduced(0, 7)) == "0"
+
 
 class TestSharedModulus:
     @_PROPERTY_SETTINGS

@@ -17,7 +17,9 @@ from reidtai.search import (
     OrbitClass,
     SigmaWitness,
     _galois_orbits,
+    _halforbit_numerator,
     _multiplicity_variants,
+    _orbit_total,
     _pair_candidates,
     _value_union_minimum,
     av_orbit_feasibility,
@@ -29,7 +31,7 @@ from reidtai.search import (
     table1,
 )
 from reidtai.witness import covers_conjugate_pairs
-from search_oracles import classify_pairs_per_pair, pair_feasible
+from search_oracles import classify_pairs_per_pair, pair_feasible, value_union_minimum
 from search_oracles import subset_min_sum as _subset_min_sum
 
 
@@ -226,12 +228,24 @@ class TestIntegerKernelsMatchFractionReferences:
     @_PROPERTY_SETTINGS
     @given(_nonzero_roots(60, 2, 2))
     def test_value_union_minimum(self, pair):
-        assert _value_union_minimum(*pair) == _value_union_minimum_reference(*pair)
+        # The unbounded oracle is the integer form of the Fraction
+        # reference; the bounded kernel agrees with it below 1 and stops
+        # without a leaf elsewhere.
+        unbounded = value_union_minimum(*pair)
+        assert unbounded == _value_union_minimum_reference(*pair)
+        assert _value_union_minimum(*pair) == (unbounded if unbounded[0] < 1 else None)
 
     @_PROPERTY_SETTINGS
     @given(_nonzero_roots(60, 2, 4))
     def test_av_orbit_feasibility(self, values):
         assert av_orbit_feasibility(values) == _av_orbit_feasibility_reference(values)
+
+    @_PROPERTY_SETTINGS
+    @given(_nonzero_roots(60, 1, 4))
+    def test_orbit_total(self, values):
+        reference = _av_orbit_feasibility_reference(values)
+        scaled = [v.numerator * (reference.modulus // v.denominator) for v in values]
+        assert _orbit_total(scaled, reference.modulus) == reference.total * reference.modulus
 
     @_PROPERTY_SETTINGS
     @given(_nonzero_roots(24, 1, 3))
@@ -256,6 +270,10 @@ class TestMinHalforbitSum:
     def test_matches_subset_enumeration(self):
         for d in range(2, 61):
             assert min_halforbit_sum(d)[0] == _subset_min_sum(d)
+
+    def test_closed_form_matches_the_listing(self):
+        for d in range(2, 2000):
+            assert Fraction(_halforbit_numerator(d), d) == min_halforbit_sum(d)[0], d
 
     def test_representatives_are_the_smaller_unit_of_each_pair(self):
         for d in range(2, 401):
@@ -305,6 +323,10 @@ class TestFeasibleOrders:
         assert report.missing == ()
         assert [d for d, _ in report.extras] == [9, 15]
         assert 11 not in computed
+
+    def test_closed_form_scan_matches_the_listing(self):
+        listed = tuple(d for d in range(2, 2001) if min_halforbit_sum(d)[0] < 1)
+        assert feasible_orders(2000)[0] == listed
 
     def test_extras_carry_witnesses(self):
         _, report = feasible_orders(30)
@@ -379,8 +401,6 @@ class TestPairFeasible:
             pair_feasible(3, 4, 6, "bogus-mode")
 
     def test_value_union_against_exhaustive_oracle(self):
-        from reidtai.search import _value_union_minimum
-
         values = []
         for d in (2, 3, 4, 5, 6, 8, 10, 12):
             values.extend(R(k, d) for k in unit_classes(d).units)
@@ -392,10 +412,12 @@ class TestPairFeasible:
             if key in seen:
                 continue
             seen.add(key)
-            total, witness, expanded = _value_union_minimum(*key)
+            total, witness, expanded = value_union_minimum(*key)
             assert total == _value_union_min_oracle(*key), key
             assert covers_conjugate_pairs(witness.modulus, witness.chosen_residues)
             assert sum(expanded, Fraction(0)) == total
+            bounded = _value_union_minimum(*key)
+            assert bounded == ((total, witness, expanded) if total < 1 else None), key
 
 
 @pytest.fixture(scope="module")
