@@ -143,7 +143,9 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
 # search asks only whether a sum is below 1, so each kernel stops at M: the
 # value-union bound starts there, an orbit total outside (0, M) refutes a
 # pair or multiset before any root is built, and an order is tested by its
-# half-orbit numerator in closed form.
+# half-orbit numerator in closed form.  The Galois twists of a multiset are
+# walked in one place, ``_twist_classes``; a pair orbit is decided once, at
+# its first member, and each member is reached from it by a least unit k.
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,22 @@ class AvOrbitResult(Record):
     modulus: int
 
 
+def _twist_classes(scaled: Sequence[int], modulus: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The conjugation classes of distinct Galois twists of the nonzero numerators ``scaled`` over M.
+
+    Maps the smaller member t of each class {t, conjugate of t}, both
+    sorted, to its conjugate, which is t itself when t is self-conjugate.
+    Twisting by -u conjugates, so one unit u per conjugate pair reaches
+    every class.
+    """
+    classes = {}
+    for u, *_ in unit_classes(modulus).pairs:
+        t = tuple(sorted(u * x % modulus for x in scaled))
+        tbar = tuple(modulus - x for x in reversed(t))
+        classes[min(t, tbar)] = max(t, tbar)
+    return classes
+
+
 def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
     """Sum, over conjugation classes of distinct Galois twists, of the class-minimal age.
 
@@ -246,21 +264,15 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
     if any(v == 0 for v in ms):
         raise ValueError("multiset entries must be nonzero roots of unity")
     scaled, modulus = over_common_modulus(ms)
-    twists = {tuple(sorted(k * x % modulus for x in scaled)) for k in unit_classes(modulus).units}
-    # Twisting by -k conjugates, so every conjugate twist is itself a twist.
-    root = {x: RootOfUnity._reduced(x, modulus) for x in set().union(*twists)}
+    twist_classes = sorted(_twist_classes(scaled, modulus).items())
+    root = {x: RootOfUnity._reduced(x, modulus) for cls in twist_classes for t in cls for x in t}
 
     def lift(t: tuple[int, ...]) -> tuple[RootOfUnity, ...]:
         return tuple(root[x] for x in t)
 
     classes = []
-    seen = set()
     total = 0
-    for t in sorted(twists):
-        if t in seen:
-            continue
-        tbar = tuple(sorted(-x % modulus for x in t))
-        seen.update((t, tbar))
+    for t, tbar in twist_classes:
         members = (t,) if tbar == t else (t, tbar)
         ages = [sum(m) for m in members]
         min_age = min(ages)
@@ -271,19 +283,8 @@ def av_orbit_feasibility(values: Iterable) -> AvOrbitResult:
 
 
 def _orbit_total(scaled: Sequence[int], modulus: int) -> int:
-    """M times the ``av_orbit_feasibility`` total of the nonzero numerators ``scaled`` over M.
-
-    Twisting by -u conjugates, so one unit u per conjugate pair reaches
-    every class {t, conjugate of t}; its key is the smaller of the two, and
-    the conjugate of t sums to n*M - sum(t).
-    """
-    full = len(scaled) * modulus
-    ages = {}
-    for u, *_ in unit_classes(modulus).pairs:
-        t = sorted(u * x % modulus for x in scaled)
-        key = min(t, [modulus - x for x in reversed(t)])
-        ages[tuple(key)] = min(age := sum(t), full - age)
-    return sum(ages.values())
+    """M times the ``av_orbit_feasibility`` total of the nonzero numerators ``scaled`` over M."""
+    return sum(min(sum(t), sum(tbar)) for t, tbar in _twist_classes(scaled, modulus).items())
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +380,6 @@ class PairDecision(Record):
         return payload
 
 
-def _decide_pair(pair: tuple[RootOfUnity, RootOfUnity], mode: str) -> PairDecision | None:
-    """Decide a pair given in ascending order, in a mode ``classify_pairs`` has checked; None if infeasible."""
-    if mode == MODE_ORBIT_SETS:
-        orbit = av_orbit_feasibility(pair)
-        return PairDecision(pair, mode, True, orbit.total, orbit=orbit) if orbit.feasible else None
-    found = _value_union_minimum(*pair)
-    return None if found is None else PairDecision(pair, mode, True, found[0], witness=found[1], values=found[2])
-
-
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
     """Each candidate pair a/M < b/M as (M, a, b), M the lcm of its orders; sorted."""
     # Any covering section's alpha-part already contains one of each
@@ -408,9 +400,11 @@ def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[int]]:
-    """Partition the candidates into orbits of the units mod M; members by position, ascending.
+def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[tuple[int, int]]]:
+    """Partition the candidates into orbits of the units mod M, each member as (position, k).
 
+    Members are in ascending position; k is the least unit that twists the
+    orbit's first member onto the member, so the first entry has k = 1.
     Twisting keeps the orders, so the candidate list is closed under it.
     """
     position = {c: i for i, c in enumerate(candidates)}
@@ -419,10 +413,11 @@ def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[int]
     for i, (modulus, a, b) in enumerate(candidates):
         if i in assigned:
             continue
-        twists = {(modulus, *sorted((k * a % modulus, k * b % modulus))) for k in unit_classes(modulus).units}
-        orbit = sorted(position[t] for t in twists)
-        assigned.update(orbit)
-        orbits.append(orbit)
+        members: dict[int, int] = {}
+        for k in unit_classes(modulus).units:
+            members.setdefault(position[(modulus, *sorted((k * a % modulus, k * b % modulus)))], k)
+        assigned.update(members)
+        orbits.append(sorted(members.items()))
     return orbits
 
 
@@ -431,8 +426,10 @@ def classify_pairs(
 ) -> tuple[tuple[PairDecision, ...], ConformanceReport]:
     """All distinct reduced value pairs with lcm of orders <= f_max passing the mode predicate.
 
-    For a unit k, the covering sections S of {k*alpha, k*beta} are the sections k*S of {alpha, beta},
-    with the same value union and twist set: one decision per Galois orbit decides all its members.
+    For a unit k, the covering sections of {k*alpha, k*beta} are the sections k^-1*S for the
+    covering sections S of {alpha, beta}, with the same value union and twist set.  So one
+    decision per Galois orbit, at its first member, decides all its members: each member takes
+    that sum, orbit result or value union, and a value-union member the section k^-1*S.
     """
     if f_max < 2:
         raise ValueError("f_max must be at least 2")
@@ -445,21 +442,20 @@ def classify_pairs(
         return RootOfUnity._reduced(a, modulus), RootOfUnity._reduced(b, modulus)
 
     decisions = {}
-    for first, *rest in _galois_orbits(candidates):
+    for orbit in _galois_orbits(candidates):
+        first = orbit[0][0]
         modulus, a, b = candidates[first]
-        if mode == MODE_ORBIT_SETS and not 0 < _orbit_total((a, b), modulus) < modulus:
-            continue  # refuted from ints, before any root is built
-        decision = _decide_pair(pair(first), mode)
-        if decision is None:
-            continue
-        decisions[first] = decision
-        for i in rest:
-            # The orbit-sets result is the same for every member; a
-            # value-union witness names the member's own section.
-            if mode == MODE_ORBIT_SETS:
-                decisions[i] = PairDecision(pair(i), mode, True, decision.minimal_sum, orbit=decision.orbit)
-            else:
-                decisions[i] = _decide_pair(pair(i), mode)
+        if mode == MODE_ORBIT_SETS:
+            # An orbit total outside (0, M) refutes the orbit from ints, before any root is built.
+            if 0 < _orbit_total((a, b), modulus) < modulus:
+                result = av_orbit_feasibility(pair(first))
+                decisions.update((i, PairDecision(pair(i), mode, True, result.total, orbit=result)) for i, _ in orbit)
+        elif found := _value_union_minimum(*pair(first)):
+            total, sigma, values = found
+            for i, k in orbit:
+                inverse = pow(k, -1, modulus)
+                section = SigmaWitness(modulus, tuple(sorted(inverse * u % modulus for u in sigma.chosen_residues)))
+                decisions[i] = PairDecision(pair(i), mode, True, total, witness=section, values=values)
     classes = tuple(d for _, d in sorted(decisions.items()))
     computed = tuple(c.pair for c in classes)
     by_pair = {c.pair: c for c in classes}
@@ -579,7 +575,7 @@ def min_age_same_order(n: int, dim: int) -> Fraction | None:
         raise ValueError("dimension must be at least 1")
     classes = unit_classes(n)
     half_size = len(classes.pairs)
-    half_sum, _ = min_halforbit_sum(n)
+    half_sum = Fraction(_halforbit_numerator(n), n)
     full_size = len(classes.units)
     full_sum = Fraction(sum(classes.units), n)
     best = None

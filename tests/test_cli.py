@@ -378,7 +378,6 @@ class TestWitnessRoundTrip:
 
         monkeypatch.setattr(search, "av_orbit_feasibility", off_by_one_step)
         monkeypatch.setattr(search, "_orbit_total", lambda scaled, modulus: original_total(scaled, modulus) + 1)
-        monkeypatch.setattr("reidtai.cli.av_orbit_feasibility", off_by_one_step, raising=False)
         assert main(["--format", "json", *command]) == 0
         payload = json.loads(capsys.readouterr().out)
         witnesses = payload.get("pairs", []) + [entry["witness"] for entry in payload["conformance"]["extra"]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reidtai.options import MODES
 from reidtai.roots import RootOfUnity, euler_phi, unit_classes
 from reidtai.search import (
     CONFIRMED_ORDERS,
@@ -499,16 +500,33 @@ class TestClassifyPairs:
         candidates = _pair_candidates(126)
         orbits = _galois_orbits(candidates)
         assert (len(candidates), len(orbits)) == (1437, 143)
-        assert sorted(i for orbit in orbits for i in orbit) == list(range(len(candidates)))
+        assert sorted(i for orbit in orbits for i, _ in orbit) == list(range(len(candidates)))
         lift = [(modulus, (R(a, modulus), R(b, modulus))) for modulus, a, b in candidates]
         for orbit in orbits:
-            modulus, pair = lift[orbit[0]]
-            twists = {tuple(sorted(R(k * v.numerator, v.denominator) for v in pair)) for k in unit_classes(modulus).units}
-            assert {lift[i][1] for i in orbit} == twists
+            first, k = orbit[0]
+            assert k == 1
+            assert [i for i, _ in orbit] == sorted(i for i, _ in orbit)
+            modulus, pair = lift[first]
+            twists = {}
+            for unit in unit_classes(modulus).units:
+                twists.setdefault(tuple(sorted(R(unit * v.numerator, v.denominator) for v in pair)), unit)
+            assert {lift[i][1]: k for i, k in orbit} == twists
+
+    def test_value_union_minimum_runs_once_per_orbit(self, monkeypatch):
+        import reidtai.search as search
+
+        calls = []
+        original = search._value_union_minimum
+        monkeypatch.setattr(search, "_value_union_minimum", lambda *pair: calls.append(pair) or original(*pair))
+        classify_pairs(126, MODE_VALUE_UNION)
+        assert len(calls) == 143
 
     def test_matches_per_pair_oracle(self, value_union, orbit_sets):
+        # At f_max 210 = lcm(14, 15) the candidates are every pair any f_max can produce.
         assert value_union[0] == classify_pairs_per_pair(126, MODE_VALUE_UNION)
         assert orbit_sets[0] == classify_pairs_per_pair(126, MODE_ORBIT_SETS)
+        for mode in MODES:
+            assert classify_pairs(210, mode)[0] == classify_pairs_per_pair(210, mode), mode
 
     def test_orbit_subset_of_value_union(self, value_union, orbit_sets):
         assert {c.pair for c in orbit_sets[0]} <= {c.pair for c in value_union[0]}
