@@ -8,14 +8,13 @@ and the stricter orbit-sets test that models the constraint a rational
 representation imposes on Galois twists.
 """
 
+from reidtai.orders import feasible_orders, table1
 from reidtai.search import (
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
-    feasible_orders,
-    table1,
 )
 
 print("Minimal half-orbit sums (one representative per conjugate pair):")

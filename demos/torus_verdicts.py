@@ -13,7 +13,7 @@ connected, and full rank means rationally connected.
 
 from fractions import Fraction
 
-from reidtai.search import simple_av_screen
+from reidtai.orders import simple_av_screen
 from reidtai.torus import AffineTorusMap, closure, filtration
 
 F = Fraction

@@ -28,17 +28,19 @@ _EXPORTS = {
         "solve_torus_congruence",
         "sublattice_from_rows",
     ),
+    "orders": (
+        "feasible_orders",
+        "min_age_same_order",
+        "min_halforbit_sum",
+        "simple_av_screen",
+        "table1",
+    ),
     "search": (
         "MODE_ORBIT_SETS",
         "MODE_VALUE_UNION",
         "av_orbit_feasibility",
         "classify_pairs",
         "enumerate_exceptional_multisets",
-        "feasible_orders",
-        "min_age_same_order",
-        "min_halforbit_sum",
-        "simple_av_screen",
-        "table1",
     ),
     "monomial": (
         "GGroup",

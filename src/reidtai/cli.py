@@ -26,8 +26,8 @@ from .options import worker_count
 _ENGINE_NAMES = {
     "monomial": ("g_group", "g_group_order", "prop_prod_check"),
     "imprimitive": ("imprimitive_classification",),
-    "search": ("classify_pairs", "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order",
-               "simple_av_screen", "table1"),
+    "orders": ("feasible_orders", "min_age_same_order", "simple_av_screen", "table1"),
+    "search": ("classify_pairs", "enumerate_exceptional_multisets"),
     "spectra": ("Spectrum",),
     "torus": ("AffineTorusMap", "closure", "filtration"),
 }

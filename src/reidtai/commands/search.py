@@ -8,7 +8,7 @@ from . import EXIT_OK, _conformance_exit, _emit
 
 
 def _cmd_table1(args) -> int:
-    from ..search import table1
+    from ..orders import table1
 
     rows = table1()
     payload = {"rows": [r.to_json() for r in rows]}
@@ -23,7 +23,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_orders_scan(args) -> int:
-    from ..search import feasible_orders
+    from ..orders import feasible_orders
 
     computed, report = feasible_orders(args.bound)
     payload = {
@@ -79,7 +79,7 @@ def _cmd_multisets(args) -> int:
 
 
 def _cmd_same_order_screen(args) -> int:
-    from ..search import min_age_same_order
+    from ..orders import min_age_same_order
 
     age = min_age_same_order(args.n, args.dim)
     payload = {
@@ -97,7 +97,7 @@ def _cmd_same_order_screen(args) -> int:
 
 
 def _cmd_simple_av_screen(args) -> int:
-    from ..search import simple_av_screen
+    from ..orders import simple_av_screen
 
     report = simple_av_screen(args.dim, d_max=args.bound)
     payload = report.to_json()

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .search import CONFIRMED_ORDERS, REFERENCE_MULTISETS, REFERENCE_PAIRS, table1
+from .orders import CONFIRMED_ORDERS, table1
+from .search import REFERENCE_MULTISETS, REFERENCE_PAIRS
 
 __all__ = [
     "TRACE_TABLE_CELLS",

@@ -1,18 +1,15 @@
 """Machine searches over Galois orbits of roots of unity.
 
-Four searches, all exact:
+Two searches, all exact:
 
-* feasible eigenvalue orders: the d for which a choice of one
-  representative from each conjugate pair {u, d-u} of units keeps the
-  total rotation below 1;
 * the pair classification: unordered pairs {e(a/f), e(b/f)} admitting a
   Galois section Sigma (Sigma together with its conjugate covering the
   whole unit group) whose twist values sum below 1;
 * the enumeration of exceptional eigenvalue multisets built from those
-  pairs;
-* the same-order screen: minimal age of a multiset of primitive n-th
-  roots that is a disjoint union of half-orbit and full-orbit blocks,
-  and that screen over the feasible orders in one dimension.
+  pairs.
+
+The half-orbit sums that prune them, the order scan and the same-order
+screen are in ``reidtai.orders``.
 
 Two pair/multiset feasibility predicates are implemented.  The
 ``value-union`` mode sums the distinct values of the twist family; the
@@ -28,42 +25,34 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .options import MODE_ORBIT_SETS, MODE_VALUE_UNION, MODES
+from .orders import ConformanceReport, _conformance, _halforbit_numerator
 from .records import Record
-from .roots import RootOfUnity, over_common_modulus, unit_classes
-from .spectra import Spectrum
+from .roots import RootOfUnity, over_common_modulus, over_least_modulus, unit_classes
+
+# The order scan's entry points stay bound here too: bench/tracer.py names
+# them as ``reidtai.search`` attributes and wraps every namespace that binds them.
+from .orders import feasible_orders, min_halforbit_sum
+
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 __all__ = [
     "AvOrbitResult",
-    "ConformanceReport",
     "MultisetEnumeration",
     "OrbitClass",
     "PairDecision",
     "SigmaWitness",
-    "SimpleAvScreenReport",
-    "Table1Row",
-    "CONFIRMED_ORDERS",
     "REFERENCE_MULTISETS",
     "REFERENCE_PAIRS",
-    "TABLE1_ORDERS",
     "MODE_ORBIT_SETS",
     "MODE_VALUE_UNION",
     "av_orbit_feasibility",
     "classify_pairs",
     "enumerate_exceptional_multisets",
-    "feasible_orders",
-    "min_age_same_order",
-    "min_halforbit_sum",
-    "simple_av_screen",
-    "table1",
 ]
-
-
-# Published reference data the searches are diffed against.
-CONFIRMED_ORDERS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 18)
-TABLE1_ORDERS: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
 
 
 def _r(a: int, d: int) -> RootOfUnity:
@@ -96,40 +85,6 @@ REFERENCE_TRIPLE: tuple[RootOfUnity, ...] = dict(REFERENCE_MULTISETS)["n"]
 
 
 # ---------------------------------------------------------------------------
-# Conformance reporting
-# ---------------------------------------------------------------------------
-
-
-class ConformanceReport(Record):
-    """Diff of a computed set against its published reference set.
-
-    ``extras`` pairs each surplus item with a witness dict that
-    ``verify-witness`` can re-check; the JSON lists them under ``extra``
-    as ``{"item", "witness"}`` objects.
-    """
-
-    expected: tuple
-    computed: tuple
-    missing: tuple
-    extras: tuple  # of (item, witness-dict)
-
-    def to_json(self) -> dict:
-        payload = super().to_json()
-        payload["extra"] = [{"item": x, "witness": w} for x, w in payload.pop("extras")]
-        return payload
-
-
-def _conformance(expected: Sequence, computed: Sequence, witness_of) -> ConformanceReport:
-    expected = tuple(expected)
-    computed = tuple(computed)
-    expected_set = set(expected)
-    computed_set = set(computed)
-    missing = tuple(x for x in expected if x not in computed_set)
-    extras = tuple((x, witness_of(x)) for x in computed if x not in expected_set)
-    return ConformanceReport(expected, computed, missing, extras)
-
-
-# ---------------------------------------------------------------------------
 # Shared modulus
 # ---------------------------------------------------------------------------
 #
@@ -142,76 +97,12 @@ def _conformance(expected: Sequence, computed: Sequence, witness_of) -> Conforma
 # kernels return, the roots by the trusted ``RootOfUnity._reduced``.  Each
 # search asks only whether a sum is below 1, so each kernel stops at M: the
 # value-union bound starts there, an orbit total outside (0, M) refutes a
-# pair or multiset before any root is built, and an order is tested by its
-# half-orbit numerator in closed form.  The Galois twists of a multiset are
-# walked in one place, ``_twist_classes``; a pair orbit is decided once, at
-# its first member, and each member is reached from it by a least unit k.
-
-
-# ---------------------------------------------------------------------------
-# Half-orbit sums and the order scan
-# ---------------------------------------------------------------------------
-
-
-def _halforbit_numerator(d: int) -> int:
-    """d * min_halforbit_sum(d)[0], the sum of the units u <= d/2, in closed form.
-
-    By Moebius inversion over the squarefree divisors e of d it is sum(mu(e) * e * k(k+1)/2), k = d // 2e.
-    """
-    signed = [1]  # mu(e) * e for each squarefree divisor e
-    n, p = d, 2
-    while p * p <= n:
-        if n % p == 0:
-            signed += [-e * p for e in signed]
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        signed += [-e * n for e in signed]
-    twice = 0
-    for e in signed:
-        k = d // (2 * abs(e))
-        twice += e * k * (k + 1)
-    return twice // 2
-
-
-def min_halforbit_sum(d: int) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimal sum of one representative u/d per conjugate pair {u, d-u}: the units u <= d/2."""
-    if d < 2:
-        raise ValueError(f"modulus must be at least 2, got {d}")
-    reps = tuple(u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1)
-    return Fraction(sum(reps), d), reps
-
-
-class Table1Row(Record):
-    n: int
-    half_count: int
-    values: tuple[RootOfUnity, ...]
-    mean: Fraction
-
-
-def table1() -> tuple[Table1Row, ...]:
-    """Minimal half-orbit representatives and their means, one row per listed order."""
-    rows = []
-    for n in TABLE1_ORDERS:
-        total, reps = min_halforbit_sum(n)
-        values = tuple(_r(u, n) for u in reps)
-        rows.append(Table1Row(n, len(reps), values, total / len(reps)))
-    return tuple(rows)
-
-
-def feasible_orders(d_max: int = 372) -> tuple[tuple[int, ...], ConformanceReport]:
-    """All d <= d_max whose minimal half-orbit sum is below 1, with conformance."""
-    if d_max < 2:
-        raise ValueError("d_max must be at least 2")
-    computed = tuple(d for d in range(2, d_max + 1) if _halforbit_numerator(d) < d)
-
-    def witness(d: int) -> dict:
-        total, reps = min_halforbit_sum(d)
-        return {"kind": "order", "d": d, "representatives": list(reps), "sum": str(total)}
-
-    expected = tuple(d for d in CONFIRMED_ORDERS if d <= d_max)
-    return computed, _conformance(expected, computed, witness)
+# pair or multiset before any root is built, and a pair of orders whose
+# half-orbit sums reach 1 is never searched.  The Galois twists of a
+# multiset are walked in one place, ``_twist_classes``; a pair orbit is
+# decided once, at its first member, and each member is reached from it by
+# a least unit k.  The multisets are enumerated over one modulus L, the lcm
+# of the orders of their bases.
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +273,23 @@ class PairDecision(Record):
 
 def _pair_candidates(f_max: int) -> list[tuple[int, int, int]]:
     """Each candidate pair a/M < b/M as (M, a, b), M the lcm of its orders; sorted."""
-    # Any covering section's alpha-part already contains one of each
-    # conjugate pair of primitive d_alpha-th values, so its sum alone is
-    # >= min_halforbit_sum(d_alpha); the orbit-sets total obeys the same
-    # bound.  Orders with half-orbit sum >= 1 therefore never occur.
-    feasible_d = [d for d in range(2, f_max + 1) if _halforbit_numerator(d) < d]
+    # A covering section's alpha-values meet every conjugate pair of
+    # primitive d_alpha-th roots, so they sum to at least the half-orbit sum
+    # h(d_alpha)/d_alpha, and the beta-values to at least h(d_beta)/d_beta.
+    # Values of different orders are distinct, so for d_alpha != d_beta the
+    # value union, and the orbit-sets total likewise, is at least the sum of
+    # both.  A pair of orders reaching 1 there, or one order reaching 1
+    # alone, is refuted in both modes before any search.
+    half = {d: h for d in range(2, f_max + 1) if (h := _halforbit_numerator(d)) < d}
+    feasible_d = list(half)
     units = {d: unit_classes(d).units for d in feasible_d}
     out = set()
     for i, da in enumerate(feasible_d):
         for db in feasible_d[i:]:
             modulus = math.lcm(da, db)
             if modulus > f_max:
+                continue
+            if da != db and half[da] * (modulus // da) + half[db] * (modulus // db) >= modulus:
                 continue
             xs = [u * (modulus // da) for u in units[da]]
             ys = [u * (modulus // db) for u in units[db]]
@@ -421,6 +318,24 @@ def _galois_orbits(candidates: Sequence[tuple[int, int, int]]) -> list[list[tupl
     return orbits
 
 
+def _feasible_orbits(f_max: int, mode: str) -> Iterator[tuple[list[tuple[tuple[int, int, int], int]], object]]:
+    """Each Galois orbit of candidate pairs that passes the mode predicate, decided at its first member.
+
+    Yields the members as ((M, a, b), k), k as in ``_galois_orbits``, with
+    the first member's result: its ``AvOrbitResult`` in orbit-sets mode, the
+    (sum, section, values) of ``_value_union_minimum`` in value-union mode.
+    """
+    candidates = _pair_candidates(f_max)
+    for orbit in _galois_orbits(candidates):
+        modulus, a, b = candidates[orbit[0][0]]
+        if mode == MODE_ORBIT_SETS and not 0 < _orbit_total((a, b), modulus) < modulus:
+            continue  # refuted from ints, before any root is built
+        pair = RootOfUnity._reduced(a, modulus), RootOfUnity._reduced(b, modulus)
+        found = av_orbit_feasibility(pair) if mode == MODE_ORBIT_SETS else _value_union_minimum(*pair)
+        if found is not None:
+            yield [(candidates[i], k) for i, k in orbit], found
+
+
 def classify_pairs(
     f_max: int = 126, mode: str = MODE_VALUE_UNION
 ) -> tuple[tuple[PairDecision, ...], ConformanceReport]:
@@ -435,28 +350,19 @@ def classify_pairs(
         raise ValueError("f_max must be at least 2")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    candidates = _pair_candidates(f_max)
-
-    def pair(i: int) -> tuple[RootOfUnity, RootOfUnity]:
-        modulus, a, b = candidates[i]
-        return RootOfUnity._reduced(a, modulus), RootOfUnity._reduced(b, modulus)
-
-    decisions = {}
-    for orbit in _galois_orbits(candidates):
-        first = orbit[0][0]
-        modulus, a, b = candidates[first]
-        if mode == MODE_ORBIT_SETS:
-            # An orbit total outside (0, M) refutes the orbit from ints, before any root is built.
-            if 0 < _orbit_total((a, b), modulus) < modulus:
-                result = av_orbit_feasibility(pair(first))
-                decisions.update((i, PairDecision(pair(i), mode, True, result.total, orbit=result)) for i, _ in orbit)
-        elif found := _value_union_minimum(*pair(first)):
-            total, sigma, values = found
-            for i, k in orbit:
+    decisions = []
+    for members, found in _feasible_orbits(f_max, mode):
+        for (modulus, a, b), k in members:
+            pair = RootOfUnity._reduced(a, modulus), RootOfUnity._reduced(b, modulus)
+            if mode == MODE_ORBIT_SETS:
+                decision = PairDecision(pair, mode, True, found.total, orbit=found)
+            else:
+                total, sigma, values = found
                 inverse = pow(k, -1, modulus)
                 section = SigmaWitness(modulus, tuple(sorted(inverse * u % modulus for u in sigma.chosen_residues)))
-                decisions[i] = PairDecision(pair(i), mode, True, total, witness=section, values=values)
-    classes = tuple(d for _, d in sorted(decisions.items()))
+                decision = PairDecision(pair, mode, True, total, witness=section, values=values)
+            decisions.append(((modulus, a, b), decision))
+    classes = tuple(d for _, d in sorted(decisions, key=lambda item: item[0]))
     computed = tuple(c.pair for c in classes)
     by_pair = {c.pair: c for c in classes}
     expected = tuple(p for p in REFERENCE_PAIRS if math.lcm(p[0].order, p[1].order) <= f_max)
@@ -481,25 +387,44 @@ class MultisetEnumeration(Record):
         return payload
 
 
-def _multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
-    """All multisets using every listed value at least once with total sum < 1."""
-    scaled, modulus = over_common_modulus(values)
-    out = []
-    k = len(values)
+def _multiplicity_variants(scaled: Sequence[int], modulus: int) -> list[tuple[int, ...]]:
+    """All multisets of the numerators over M using every one at least once with total below M.
 
-    def rec(i: int, current: list, acc: int):
+    Each comes as a tuple in the order of ``scaled``, so ascending numerators give sorted tuples.
+    """
+    out = []
+    k = len(scaled)
+
+    def rec(i: int, current: tuple[int, ...], acc: int):
         if i == k:
-            out.append(tuple(current))
+            out.append(current)
             return
-        v, x = values[i], scaled[i]
+        x = scaled[i]
         rest = sum(scaled[i + 1:])
         mult = 1
         while acc + mult * x + rest < modulus:
-            rec(i + 1, current + [v] * mult, acc + mult * x)
+            rec(i + 1, current + (x,) * mult, acc + mult * x)
             mult += 1
 
-    rec(0, [], 0)
+    rec(0, (), 0)
     return out
+
+
+def _multiset_candidates(f_max: int) -> tuple[list[tuple[int, ...]], int]:
+    """The candidate multisets as sorted numerator tuples over one modulus L, in (size, values) order, and L.
+
+    Their bases are the value-union pairs with lcm of orders <= f_max and the
+    reference triple; L is the lcm of the bases' orders.  Over one L the ints
+    sort, dedupe and sum as the fractions they stand for.
+    """
+    bases = {base for members, _ in _feasible_orbits(f_max, MODE_VALUE_UNION) for base, _ in members}
+    triple, triple_modulus = over_common_modulus(REFERENCE_TRIPLE)
+    bases.add((triple_modulus, *triple))
+    modulus = math.lcm(*(base[0] for base in bases))
+    candidates = set()
+    for base_modulus, *xs in bases:
+        candidates.update(_multiplicity_variants([x * (modulus // base_modulus) for x in xs], modulus))
+    return sorted(candidates, key=lambda t: (len(t), t)), modulus
 
 
 def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 126) -> MultisetEnumeration:
@@ -508,119 +433,51 @@ def enumerate_exceptional_multisets(mode: str = MODE_VALUE_UNION, f_max: int = 1
     Values are drawn from the classified pairs (value-union predicate) or
     the reference triple, each value appearing at least once, total sum
     below 1.  In orbit-sets mode the multisets must additionally pass the
-    av_orbit_feasibility test, read from the integer orbit total; every
-    candidate it excludes is returned with its refutation total (>= 1).
+    av_orbit_feasibility test, read from the integer orbit total over the
+    multiset's own lcm of orders; every candidate it excludes is returned
+    with its refutation total (>= 1).
     """
+    from .spectra import Spectrum  # only here, so the pair search does not load the spectra module
+
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    classes, _ = classify_pairs(f_max, MODE_VALUE_UNION)
-    bases = {c.pair for c in classes}
-    bases.add(REFERENCE_TRIPLE)
-    candidates = []
-    for base in sorted(bases, key=lambda b: (len(b), b)):
-        candidates.extend(_multiplicity_variants(base))
-    candidates = sorted(set(candidates), key=lambda t: (len(t), t))
-
-    kept: list[tuple[RootOfUnity, ...]] = []
-    refuted: list[tuple[Spectrum, Fraction]] = []
-    orbit_totals: dict[tuple, Fraction] = {}
-    if mode == MODE_VALUE_UNION:
-        kept = candidates
-    else:
+    if f_max < 2:
+        raise ValueError("f_max must be at least 2")
+    candidates, modulus = _multiset_candidates(f_max)
+    kept = candidates
+    refuted = []
+    orbit_totals: dict[tuple[int, ...], tuple[int, int]] = {}  # M times the total, over the multiset's own M
+    if mode == MODE_ORBIT_SETS:
+        kept = []
         for ms in candidates:
-            scaled, modulus = over_common_modulus(ms)
-            total = _orbit_total(scaled, modulus)
-            orbit_totals[ms] = Fraction(total, modulus)
-            if 0 < total < modulus:
-                kept.append(ms)
-            else:
-                refuted.append((Spectrum(ms), orbit_totals[ms]))
+            scaled, own = over_least_modulus(ms, modulus)
+            total = _orbit_total(scaled, own)
+            orbit_totals[ms] = total, own
+            (kept if 0 < total < own else refuted).append(ms)
 
+    root = {x: RootOfUnity._reduced(x, modulus) for x in {x for ms in candidates for x in ms}}
+
+    def lift(ms: tuple[int, ...]) -> tuple[RootOfUnity, ...]:
+        return tuple(root[x] for x in ms)
+
+    lifted = {lift(ms): ms for ms in kept}
     expected = tuple(tuple(sorted(vals)) for _, vals in REFERENCE_MULTISETS)
 
-    def witness(ms: tuple) -> dict:
+    def witness(values: tuple[RootOfUnity, ...]) -> dict:
+        ms = lifted[values]
         payload = {
             "kind": "multiset",
-            "values": [str(v) for v in ms],
-            "sum": str(sum(ms, Fraction(0))),
+            "values": [str(v) for v in values],
+            "sum": str(Fraction(sum(ms), modulus)),
         }
         if mode == MODE_ORBIT_SETS:
-            payload["orbit_total"] = str(orbit_totals[ms])
+            payload["orbit_total"] = str(Fraction(*orbit_totals[ms]))
         return payload
 
-    report = _conformance(expected, tuple(kept), witness)
+    report = _conformance(expected, tuple(lifted), witness)
     return MultisetEnumeration(
         mode,
-        tuple(Spectrum(ms) for ms in kept),
+        tuple(Spectrum(values) for values in lifted),
         report,
-        tuple(refuted),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Same-order minimal-age screen
-# ---------------------------------------------------------------------------
-
-
-def min_age_same_order(n: int, dim: int) -> Fraction | None:
-    """Minimal age of dim primitive n-th roots forming half-/full-orbit blocks.
-
-    A half-orbit block takes the cheaper representative of every conjugate
-    pair; a full-orbit block takes all primitive roots.  Returns None when
-    dim is not a non-negative combination of the two block sizes.
-    """
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    classes = unit_classes(n)
-    half_size = len(classes.pairs)
-    half_sum = Fraction(_halforbit_numerator(n), n)
-    full_size = len(classes.units)
-    full_sum = Fraction(sum(classes.units), n)
-    best = None
-    for b in range(dim // full_size + 1):
-        rem = dim - b * full_size
-        if rem % half_size:
-            continue
-        age = (rem // half_size) * half_sum + b * full_sum
-        if best is None or age < best:
-            best = age
-    return best
-
-
-class SimpleAvScreenReport(Record):
-    dim: int
-    survivors: dict[int, Fraction]
-    extra_survivors: dict[int, Fraction]
-    scanned_orders: tuple[int, ...]
-    extra_orders: tuple[int, ...]
-
-
-def simple_av_screen(dim: int, d_max: int = 372) -> SimpleAvScreenReport:
-    """Which same-order eigenvalue configurations stay exceptional in a given dimension.
-
-    The headline scan runs over the confirmed order set; orders that the
-    literal half-orbit predicate additionally admits are screened
-    separately so their survivors are visible but clearly marked.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    computed, _ = feasible_orders(d_max)
-    extra_orders = tuple(d for d in computed if d not in CONFIRMED_ORDERS)
-
-    def scan(orders: Iterable[int]) -> dict[int, Fraction]:
-        found = {}
-        for order in orders:
-            age = min_age_same_order(order, dim)
-            if age is not None and 0 < age < 1:
-                found[order] = age
-        return found
-
-    return SimpleAvScreenReport(
-        dim=dim,
-        survivors=scan(CONFIRMED_ORDERS),
-        extra_survivors=scan(extra_orders),
-        scanned_orders=CONFIRMED_ORDERS,
-        extra_orders=extra_orders,
+        tuple((Spectrum(lift(ms)), Fraction(*orbit_totals[ms])) for ms in refuted),
     )

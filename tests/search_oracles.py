@@ -5,7 +5,14 @@ from fractions import Fraction
 
 from reidtai.roots import RootOfUnity, over_common_modulus, unit_classes
 from reidtai.options import MODES
-from reidtai.search import MODE_VALUE_UNION, PairDecision, SigmaWitness, av_orbit_feasibility, min_halforbit_sum
+from reidtai.orders import min_halforbit_sum
+from reidtai.search import (
+    MODE_VALUE_UNION,
+    REFERENCE_TRIPLE,
+    PairDecision,
+    SigmaWitness,
+    av_orbit_feasibility,
+)
 
 
 def value_union_minimum(alpha: RootOfUnity, beta: RootOfUnity):
@@ -94,13 +101,9 @@ def subset_min_sum(d: int) -> Fraction:
     return best
 
 
-def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairDecision, ...]:
-    """Second search path: one decision per candidate pair, no Galois orbits.
-
-    Candidates are every unordered pair of distinct primitive values whose
-    orders have half-orbit sum below 1 and lcm at most f_max, in order of
-    that lcm, then of the pair.
-    """
+def pair_candidates(f_max: int) -> list[tuple[RootOfUnity, RootOfUnity]]:
+    """Every unordered pair of distinct primitive values whose orders have half-orbit sum below 1 and lcm at most
+    f_max, in order of that lcm, then of the pair.  No bound on the two orders together prunes them."""
     orders = [d for d in range(2, f_max + 1) if min_halforbit_sum(d)[0] < 1]
     primitive = {d: [RootOfUnity(u, d) for u in unit_classes(d).units] for d in orders}
     candidates = {
@@ -112,11 +115,78 @@ def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairDecision, ...]:
         for beta in primitive[db]
         if alpha != beta
     }
+    return sorted(candidates, key=lambda p: (math.lcm(p[0].order, p[1].order), p))
+
+
+def classify_pairs_per_pair(f_max: int, mode: str) -> tuple[PairDecision, ...]:
+    """Second search path: one decision per candidate pair of ``pair_candidates``, no Galois orbits."""
     classes = []
-    for alpha, beta in sorted(candidates, key=lambda p: (math.lcm(p[0].order, p[1].order), p)):
+    for alpha, beta in pair_candidates(f_max):
         modulus = math.lcm(alpha.order, beta.order)
         a, b = (v.numerator * (modulus // v.order) for v in (alpha, beta))
         decision = pair_feasible(a, b, modulus, mode)
         if decision.feasible:
             classes.append(decision)
     return tuple(classes)
+
+
+def multiplicity_variants(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
+    """All multisets using every listed value at least once with total sum < 1, over the values' own modulus."""
+    scaled, modulus = over_common_modulus(values)
+    out = []
+    k = len(values)
+
+    def rec(i: int, current: list, acc: int):
+        if i == k:
+            out.append(tuple(current))
+            return
+        v, x = values[i], scaled[i]
+        rest = sum(scaled[i + 1:])
+        mult = 1
+        while acc + mult * x + rest < modulus:
+            rec(i + 1, current + [v] * mult, acc + mult * x)
+            mult += 1
+
+    rec(0, [], 0)
+    return out
+
+
+def multiplicity_variants_reference(values: tuple[RootOfUnity, ...]) -> list[tuple[RootOfUnity, ...]]:
+    """``multiplicity_variants`` carried out on Fraction values."""
+    out = []
+    k = len(values)
+
+    def rec(i, current, acc):
+        if i == k:
+            out.append(tuple(current))
+            return
+        v = values[i]
+        rest = sum(values[i + 1:], Fraction(0))
+        mult = 1
+        while acc + mult * v + rest < 1:
+            rec(i + 1, current + [v] * mult, acc + mult * v)
+            mult += 1
+
+    rec(0, [], Fraction(0))
+    return out
+
+
+def multisets_reference(pairs, mode: str):
+    """Second enumeration path: the multisets on the given value-union pairs and the reference triple, as roots.
+
+    Each base's variants come over the base's own modulus; every orbit total
+    is read from ``av_orbit_feasibility``.  Returns the candidates in (size,
+    values) order, the kept ones, and each refuted one with its orbit total.
+    """
+    bases = {tuple(pair) for pair in pairs} | {REFERENCE_TRIPLE}
+    candidates = sorted({ms for base in bases for ms in multiplicity_variants(base)}, key=lambda t: (len(t), t))
+    if mode == MODE_VALUE_UNION:
+        return candidates, candidates, []
+    kept, refuted = [], []
+    for ms in candidates:
+        total = av_orbit_feasibility(ms).total
+        if 0 < total < 1:
+            kept.append(ms)
+        else:
+            refuted.append((ms, total))
+    return candidates, kept, refuted

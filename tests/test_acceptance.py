@@ -29,8 +29,8 @@ from reidtai.lattice import (
 from reidtai.imprimitive import imprimitive_classification
 from reidtai.monomial import g_group, g_group_order, prop_prod_check
 from reidtai.roots import RootOfUnity
+from reidtai.orders import CONFIRMED_ORDERS, feasible_orders, min_age_same_order, simple_av_screen, table1
 from reidtai.search import (
-    CONFIRMED_ORDERS,
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
     REFERENCE_MULTISETS,
@@ -38,10 +38,6 @@ from reidtai.search import (
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
-    feasible_orders,
-    min_age_same_order,
-    simple_av_screen,
-    table1,
 )
 from reidtai.spectra import Spectrum
 from reidtai.torus import (

@@ -464,13 +464,8 @@ class TestWitnessRoundTrip:
 
 
 def _emitted_witnesses():
-    from reidtai.search import (
-        MODE_ORBIT_SETS,
-        MODE_VALUE_UNION,
-        classify_pairs,
-        enumerate_exceptional_multisets,
-        feasible_orders,
-    )
+    from reidtai.orders import feasible_orders
+    from reidtai.search import MODE_ORBIT_SETS, MODE_VALUE_UNION, classify_pairs, enumerate_exceptional_multisets
 
     witnesses = [w for _, w in feasible_orders(372)[1].extras]
     for mode in (MODE_VALUE_UNION, MODE_ORBIT_SETS):

@@ -21,9 +21,9 @@ PUBLIC = {
     "spectra": ("Spectrum", "satisfies_rt"),
     "lattice": ("IntMatrix", "SmithDecomposition", "Sublattice", "cyclotomic_spectrum", "hnf", "matrix_order",
                 "saturate", "snf", "solve_torus_congruence", "sublattice_from_rows"),
+    "orders": ("feasible_orders", "min_age_same_order", "min_halforbit_sum", "simple_av_screen", "table1"),
     "search": ("MODE_ORBIT_SETS", "MODE_VALUE_UNION", "av_orbit_feasibility", "classify_pairs",
-               "enumerate_exceptional_multisets", "feasible_orders", "min_age_same_order", "min_halforbit_sum",
-               "simple_av_screen", "table1"),
+               "enumerate_exceptional_multisets"),
     "monomial": ("GGroup", "MonomialElement", "MonomialGroup", "g_group", "monomial_closure", "normal_closure",
                  "prop_prod_check", "spectrum_of"),
     "imprimitive": ("imprimitive_classification",),
@@ -176,6 +176,8 @@ print(json.dumps({"rc": rc, "modules": sorted(m for m in sys.modules if m in wat
 """
 
 SEARCH_ONLY = ("deviation", "golden", "groups", "imprimitive", "monomial", "torus", "lattice")
+# The half-orbit commands compile neither the pair and multiset searches nor the spectra they print.
+HALF_ORBIT_ONLY = SEARCH_ONLY + ("search", "spectra")
 # Start-up cost that no engine command pays: the report records and group elements are plain classes.
 STDLIB_NOT_LOADED = {"dataclasses", "inspect"}
 
@@ -193,19 +195,21 @@ def loaded_modules(*argv: str) -> set[str]:
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        ((), ("deviation", "golden", "groups", "imprimitive", "monomial", "torus", "lattice", "search")),
-        (("filtration", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "search")),
-        (("av-verdict", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "search")),
+        ((), ("deviation", "golden", "groups", "imprimitive", "monomial", "torus", "lattice", "orders", "search")),
+        (("filtration", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "orders", "search")),
+        (("av-verdict", KUMMER), ("deviation", "golden", "imprimitive", "monomial", "orders", "search")),
         (("monomial-check", "--m", "2", "--p", "1", "--n", "3"),
-         ("deviation", "golden", "imprimitive", "torus", "lattice", "search")),
-        (("orders-scan", "--bound", "30"), SEARCH_ONLY),
-        (("pair-search", "--f-max", "12"), SEARCH_ONLY),
+         ("deviation", "golden", "imprimitive", "torus", "lattice", "orders", "search")),
+        (("orders-scan", "--bound", "30"), HALF_ORBIT_ONLY),
+        (("table1",), HALF_ORBIT_ONLY),
+        (("same-order-screen", "--n", "6", "--dim", "5"), HALF_ORBIT_ONLY),
+        (("pair-search", "--f-max", "12"), SEARCH_ONLY + ("spectra",)),
         (("multisets", "--f-max", "12", "--mode", "orbit-sets"), SEARCH_ONLY),
-        (("simple-av-screen", "--dim", "4"), SEARCH_ONLY),
-        (("age", "--spectrum", "1/6,1/3"), SEARCH_ONLY + ("search",)),
+        (("simple-av-screen", "--dim", "4"), HALF_ORBIT_ONLY),
+        (("age", "--spectrum", "1/6,1/3"), SEARCH_ONLY + ("orders", "search")),
     ],
-    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "pair-search", "multisets",
-         "simple-av-screen", "age"],
+    ids=["import", "filtration", "av-verdict", "monomial-check", "orders-scan", "table1", "same-order-screen",
+         "pair-search", "multisets", "simple-av-screen", "age"],
 )
 def test_command_loads_only_its_engine(argv, absent):
     modules = loaded_modules(*argv)

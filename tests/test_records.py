@@ -20,7 +20,7 @@ import pytest
 
 from payloads import assert_payload_close
 from search_oracles import pair_feasible
-from reidtai import deviation, imprimitive, lattice, monomial, roots, search, torus
+from reidtai import deviation, imprimitive, lattice, monomial, orders, roots, search, torus
 from reidtai.lattice import sublattice_from_rows
 from reidtai.monomial import MonomialGroup, g_group, monomial_closure
 from reidtai.records import Record, json_value
@@ -32,7 +32,7 @@ from reidtai.torus import AffineTorusMap, closure, exceptional_elements
 RECORDS = sorted(
     (
         cls
-        for module in (roots, lattice, search, monomial, imprimitive, torus, deviation)
+        for module in (roots, lattice, orders, search, monomial, imprimitive, torus, deviation)
         for cls in vars(module).values()
         if isinstance(cls, type)
         and issubclass(cls, Record)

@@ -7,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidtai.options import MODES
-from reidtai.roots import RootOfUnity, euler_phi, unit_classes
-from reidtai.search import (
+from reidtai.orders import (
     CONFIRMED_ORDERS,
+    _halforbit_numerator,
+    feasible_orders,
+    min_age_same_order,
+    min_halforbit_sum,
+    table1,
+)
+from reidtai.roots import RootOfUnity, euler_phi, over_common_modulus, unit_classes
+from reidtai.search import (
     MODE_ORBIT_SETS,
     MODE_VALUE_UNION,
     REFERENCE_MULTISETS,
@@ -18,21 +25,25 @@ from reidtai.search import (
     OrbitClass,
     SigmaWitness,
     _galois_orbits,
-    _halforbit_numerator,
     _multiplicity_variants,
+    _multiset_candidates,
     _orbit_total,
     _pair_candidates,
     _value_union_minimum,
     av_orbit_feasibility,
     classify_pairs,
     enumerate_exceptional_multisets,
-    feasible_orders,
-    min_age_same_order,
-    min_halforbit_sum,
-    table1,
 )
 from reidtai.witness import covers_conjugate_pairs
-from search_oracles import classify_pairs_per_pair, pair_feasible, value_union_minimum
+from search_oracles import (
+    classify_pairs_per_pair,
+    multiplicity_variants,
+    multiplicity_variants_reference,
+    multisets_reference,
+    pair_candidates,
+    pair_feasible,
+    value_union_minimum,
+)
 from search_oracles import subset_min_sum as _subset_min_sum
 
 
@@ -168,25 +179,6 @@ def _av_orbit_feasibility_reference(values):
     return AvOrbitResult(total, 0 < total < 1, tuple(classes), modulus)
 
 
-def _multiplicity_variants_reference(values):
-    out = []
-    k = len(values)
-
-    def rec(i, current, acc):
-        if i == k:
-            out.append(tuple(current))
-            return
-        v = values[i]
-        rest = sum(values[i + 1:], Fraction(0))
-        mult = 1
-        while acc + mult * v + rest < 1:
-            rec(i + 1, current + [v] * mult, acc + mult * v)
-            mult += 1
-
-    rec(0, [], Fraction(0))
-    return out
-
-
 @st.composite
 def _nonzero_roots(draw, max_modulus, min_size, max_size):
     """Nonzero roots a/M over one drawn M <= max_modulus, so the lcm of their orders divides M.
@@ -251,8 +243,16 @@ class TestIntegerKernelsMatchFractionReferences:
     @_PROPERTY_SETTINGS
     @given(_nonzero_roots(24, 1, 3))
     def test_multiplicity_variants(self, values):
+        # The root oracle against its Fraction form, then the int kernel against the oracle, over the values' own
+        # modulus and over a multiple of it, as the enumeration runs it over the lcm of all its bases.
         values = tuple(sorted(set(values)))
-        assert _multiplicity_variants(values) == _multiplicity_variants_reference(values)
+        variants = multiplicity_variants(values)
+        assert variants == multiplicity_variants_reference(values)
+        scaled, modulus = over_common_modulus(values)
+        for factor in (1, 6):
+            big = modulus * factor
+            kernel = _multiplicity_variants([x * factor for x in scaled], big)
+            assert [tuple(R(x, big) for x in ms) for ms in kernel] == variants
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ class TestClassifyPairs:
     def test_galois_orbits_partition_the_candidates(self):
         candidates = _pair_candidates(126)
         orbits = _galois_orbits(candidates)
-        assert (len(candidates), len(orbits)) == (1437, 143)
+        assert (len(candidates), len(orbits)) == (337, 64)
         assert sorted(i for orbit in orbits for i, _ in orbit) == list(range(len(candidates)))
         lift = [(modulus, (R(a, modulus), R(b, modulus))) for modulus, a, b in candidates]
         for orbit in orbits:
@@ -519,7 +519,7 @@ class TestClassifyPairs:
         original = search._value_union_minimum
         monkeypatch.setattr(search, "_value_union_minimum", lambda *pair: calls.append(pair) or original(*pair))
         classify_pairs(126, MODE_VALUE_UNION)
-        assert len(calls) == 143
+        assert len(calls) == 64
 
     def test_matches_per_pair_oracle(self, value_union, orbit_sets):
         # At f_max 210 = lcm(14, 15) the candidates are every pair any f_max can produce.
@@ -527,6 +527,25 @@ class TestClassifyPairs:
         assert orbit_sets[0] == classify_pairs_per_pair(126, MODE_ORBIT_SETS)
         for mode in MODES:
             assert classify_pairs(210, mode)[0] == classify_pairs_per_pair(210, mode), mode
+
+    def test_half_orbit_bound_drops_only_refuted_pairs(self):
+        # A pair of orders d_a != d_b whose half-orbit sums reach 1 together is never searched.  At f_max 210 the
+        # oracle's candidates are every pair any f_max can produce; each one dropped is refuted in both modes, its
+        # exact minimal sum or orbit total at least the bound.
+        searched = {(R(a, m), R(b, m)) for m, a, b in _pair_candidates(210)}
+        every = pair_candidates(210)
+        assert searched <= set(every)
+        dropped = [pair for pair in every if pair not in searched]
+        assert (len(every), len(dropped)) == (1485, 1148)
+        for alpha, beta in dropped:
+            assert alpha.order != beta.order
+            bound = sum(Fraction(_halforbit_numerator(v.order), v.order) for v in (alpha, beta))
+            assert bound >= 1
+            modulus = math.lcm(alpha.order, beta.order)
+            a, b = (v.numerator * (modulus // v.order) for v in (alpha, beta))
+            for mode in MODES:
+                decision = pair_feasible(a, b, modulus, mode)
+                assert not decision.feasible and decision.minimal_sum >= bound, (alpha, beta, mode)
 
     def test_orbit_subset_of_value_union(self, value_union, orbit_sets):
         assert {c.pair for c in orbit_sets[0]} <= {c.pair for c in value_union[0]}
@@ -574,6 +593,23 @@ class TestMultisets:
     def test_orbit_multisets_all_feasible(self, orbit):
         for s in orbit.multisets:
             assert av_orbit_feasibility(s.values).feasible
+
+    @pytest.mark.parametrize("f_max", [60, 126, 210])
+    def test_matches_fraction_enumeration(self, f_max):
+        # The int enumeration over one modulus L against the root enumeration on the per-pair oracle's pairs:
+        # candidates, kept multisets, refutations and the orbit totals the witnesses carry, in both modes.
+        pairs = [c.pair for c in classify_pairs_per_pair(f_max, MODE_VALUE_UNION)]
+        candidates, modulus = _multiset_candidates(f_max)
+        for mode in MODES:
+            expected, kept, refuted = multisets_reference(pairs, mode)
+            assert [tuple(R(x, modulus) for x in ms) for ms in candidates] == expected
+            result = enumerate_exceptional_multisets(mode, f_max)
+            assert [s.values for s in result.multisets] == kept == list(result.conformance.computed)
+            assert [(s.values, total) for s, total in result.refutations] == refuted
+            for values, witness in result.conformance.extras:
+                assert witness["sum"] == str(sum(values, Fraction(0)))
+                if mode == MODE_ORBIT_SETS:
+                    assert witness["orbit_total"] == str(av_orbit_feasibility(values).total)
 
     def test_every_reference_pair_candidate_accounted_for(self, orbit):
         # each multiplicity variant of each reference pair with sum < 1 is

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_lattice import _rank_of_m_minus_i
 
 from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul
-from reidtai.search import simple_av_screen
+from reidtai.orders import simple_av_screen
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
