@@ -159,7 +159,8 @@ def canonical(elements: Collection, parts: Callable) -> tuple:
 
     Both element kinds order their fields that way, so parts is the class's field getter ``_values``.
 
-    This is the one canonical order of both element kinds.  It builds no Fraction: values k/m in
+    This is the one canonical order of both element kinds; a torus group lists the same order
+    coset by coset, over its sorted lifts, without this sort.  It builds no Fraction: values k/m in
     [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
     """
     lcm = math.lcm(*{parts(g)[2] for g in elements})

@@ -401,6 +401,13 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     return poly
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(n: int) -> tuple[int, ...]:
+    """The orders d with phi(d) <= n, ascending: the cyclotomic factors a degree-n polynomial can have."""
+    # phi(d) >= sqrt(d/2) for all d, so phi(d) <= n forces d <= 2n^2.
+    return tuple(d for d in range(1, 2 * n * n + 3) if euler_phi(d) <= n)
+
+
 def _cyclotomic_factorization(coeffs: tuple[int, ...], n: int) -> dict[int, int] | None:
     """Write a monic degree-n integer polynomial as a product of cyclotomics.
 
@@ -409,17 +416,13 @@ def _cyclotomic_factorization(coeffs: tuple[int, ...], n: int) -> dict[int, int]
     """
     poly = coeffs
     factors: dict[int, int] = {}
-    d = 1
-    # phi(d) >= sqrt(d/2) for all d, so phi(d) <= n forces d <= 2n^2.
-    while d <= 2 * n * n + 2:
-        if euler_phi(d) <= n:
-            while len(poly) > 1:
-                q, rem = _poly_divmod(poly, cyclotomic_poly(d))
-                if rem != (0,):
-                    break
-                factors[d] = factors.get(d, 0) + 1
-                poly = q
-        d += 1
+    for d in _cyclotomic_orders(n):
+        while len(poly) > 1:
+            q, rem = _poly_divmod(poly, cyclotomic_poly(d))
+            if rem != (0,):
+                break
+            factors[d] = factors.get(d, 0) + 1
+            poly = q
     if poly != (1,):
         return None
     return factors

@@ -9,17 +9,23 @@ by the images (M - I)Z^n of exceptional elements, recomputed on each
 quotient torus, decides whether the quotient has Kodaira dimension zero,
 is uniruled without being rationally connected, or is rationally
 connected.
+
+A group G is held as the extension 1 -> T -> G -> L -> 1 that the closure
+engine returns: one lift per linear part in L and the span T of the pure
+translations.  Its members are the cosets lift + T; only the reflection
+cosets are ever listed by ``exceptional_elements``, and ``elements``
+lists them all only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, canonical, extension
+from .groups import GroupTooLargeError, extension
 from .lattice import (
     _is_reflection,
     _torus_congruence_solver,
@@ -142,19 +148,39 @@ def affine_identity(n: int) -> AffineTorusMap:
 
 
 class TorusAction(Record):
-    """A closed finite group of affine torus maps, canonically ordered."""
+    """A finite group of affine torus maps: its lifts over the linear parts L and its translation kernel T.
+
+    ``closure`` sets ``lifts``, one member per linear part, sorted by linear
+    part, and ``kernel``, the translations of G as a span in (Z/d)^n, d the
+    lcm of the generators' denominators; G is the union of the cosets
+    lift + T.  Both are derived from the generators, so they are not
+    fields: ``==``, ``hash`` and ``repr`` read the rank and the generators.
+    ``order`` is |L| * |T|, and the members are listed, in canonical order,
+    only when ``elements`` is first read.
+    """
 
     rank: int
-    elements: tuple[AffineTorusMap, ...]
     generators: tuple[AffineTorusMap, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.lifts) * self.kernel.order
+
+    @cached_property
+    def elements(self) -> tuple[AffineTorusMap, ...]:
+        vectors, d = self.kernel.vectors(), self.kernel.m
+        return tuple(AffineTorusMap._trusted(t.linear, nums, d) for t in self.lifts for nums in _coset(t, vectors, d))
+
+
+def _coset(t: AffineTorusMap, vectors: list[list[int]], d: int) -> list[list[int]]:
+    """The translations of t + T as numerators over d, sorted: the coset in canonical order."""
+    f = d // t.denominator
+    base = [k * f for k in t.numerators]
+    return sorted([(b + x) % d for b, x in zip(base, v)] for v in vectors)
 
 
 def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> TorusAction:
-    """Group generated by the maps, in canonical order; GroupTooLargeError when it has more than cap elements."""
+    """Group generated by the maps; GroupTooLargeError when it has more than cap elements."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -184,10 +210,10 @@ def _closed(gens: tuple[AffineTorusMap, ...], cap: int) -> TorusAction:
     if result is None:
         raise GroupTooLargeError.over_cap(cap)
     lifts, kernel, _ = result
-    vectors = kernel.vectors()
-    members = [AffineTorusMap._trusted(t.linear, [k * (d // t.denominator) + x for k, x in zip(t.numerators, v)], d)
-               for t in lifts for v in vectors]
-    return TorusAction(n, canonical(members, AffineTorusMap._values), gens)
+    action = TorusAction(n, gens)
+    object.__setattr__(action, "lifts", tuple(sorted(lifts, key=attrgetter("linear"))))  # not fields
+    object.__setattr__(action, "kernel", kernel)
+    return action
 
 
 def _minkowski(n: int) -> int:
@@ -214,22 +240,31 @@ class ExceptionalElement(Record):
 
 
 def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
-    """Elements with a fixed point whose linear-part age lies in (0, 1).
+    """Elements with a fixed point whose linear-part age lies in (0, 1), in canonical order.
 
     A finite-order integer M has age rank(M - I)/2 (an eigenvalue -1 adds 1/2,
     a conjugate pair adds 1), so these are the reflections with a fixed point.
+    A reflection has the eigenvalue 1 n - 1 times and -1 once, so trace n - 2:
+    only a lift with that trace is put through the rank-one test, and only a
+    reflection's coset lift + T is listed.  All reflections of rank n share
+    one spectrum, computed once, at the first reflection.
     """
+    n, d = action.rank, action.kernel.m
+    vectors = spec = age = None
     out = []
-    for linear, run in groupby(action.elements, key=lambda g: g.linear):
-        if not _is_reflection(linear):
+    for t in action.lifts:
+        linear = t.linear
+        if sum(linear[i][i] for i in range(n)) != n - 2 or not _is_reflection(linear):
             continue
+        if spec is None:
+            vectors = action.kernel.vectors()
+            spec = cyclotomic_spectrum(linear)
+            age = spec.age()
         solve = _torus_congruence_solver(linear)
-        spec = cyclotomic_spectrum(linear)
-        age = spec.age()
-        for g in run:
-            x = solve(g.numerators, g.denominator)
+        for nums in _coset(t, vectors, d):
+            x = solve(nums, d)
             if x is not None:
-                out.append(ExceptionalElement(g, spec, age, x))
+                out.append(ExceptionalElement(AffineTorusMap._trusted(linear, nums, d), spec, age, x))
     return tuple(out)
 
 
@@ -240,11 +275,9 @@ def rt_tangent_sublattice(action: TorusAction) -> Sublattice:
 
 
 def _tangent_sublattice(n: int, exc: Sequence[ExceptionalElement]) -> Sublattice:
-    rows = []
-    for e in exc:
-        m = e.element.linear
-        delta = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
-        rows.extend(transpose(delta))
+    # the columns of each M - I, each nonzero one once: the same span, so the same Hermite form
+    rows = {tuple(m[i][j] - (i == j) for i in range(n)) for m in {e.element.linear for e in exc} for j in range(n)}
+    rows.discard((0,) * n)
     if not rows:
         return zero_sublattice(n)
     return saturate(sublattice_from_rows(n, rows))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidtai.lattice import (
+    _cyclotomic_orders,
     _is_reflection,
     charpoly,
     cyclotomic_poly,
@@ -253,6 +254,21 @@ class TestMatrixOrder:
             order = matrix_order(m)
             bound = math.lcm(*[d for d in range(1, 2 * n * n + 3) if euler_phi(d) <= n])
             assert order is not None and bound % order == 0
+
+
+class TestCyclotomicOrders:
+    def test_orders_match_a_brute_force_scan(self):
+        """The candidate orders are every d with phi(d) <= n, scanned to 10n^2, far past the 2n^2 bound."""
+        top = 10 * 12 * 12
+        phi = [0] + [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(1, top + 1)]
+        for n in range(1, 13):
+            assert _cyclotomic_orders(n) == tuple(d for d in range(1, 10 * n * n + 1) if phi[d] <= n), n
+
+    def test_each_candidate_is_the_order_of_its_companion(self):
+        for d in _cyclotomic_orders(6):
+            m = _companion(cyclotomic_poly(d))
+            assert matrix_order(m) == d
+            assert cyclotomic_spectrum(m).values == tuple(sorted(Fraction(k, d) for k in range(d) if math.gcd(k, d) == 1))
 
 
 def _companion(coeffs):

@@ -15,14 +15,19 @@ from group_oracles import generate
 from hypothesis import strategies as st
 from test_lattice import _rank_of_m_minus_i
 
-from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul
+from reidtai.cli import main
+from reidtai.groups import _KernelSpan
+from reidtai.lattice import _is_reflection, cyclotomic_spectrum, identity, mat, mat_mul, solve_torus_congruence
 from reidtai.orders import simple_av_screen
+from reidtai.spectra import Spectrum
 from reidtai.torus import (
     KODAIRA_ZERO,
     RATIONALLY_CONNECTED,
     UNIRULED_NOT_RC,
     AffineTorusMap,
+    ExceptionalElement,
     GroupTooLargeError,
+    TorusAction,
     _minkowski,
     affine_identity,
     closure,
@@ -94,6 +99,20 @@ def _stage1_exceptional_oracle(action, denominator=12):
         if 1e-9 < age < 1 - 1e-9 and _grid_has_fixed_point(g, denominator):
             found.append(g)
     return found
+
+
+def _exceptional_by_listing(action):
+    """The walk over every listed element, one spectrum per reflection linear part: exceptional_elements before it listed only the reflection cosets."""
+    out = []
+    for linear, run in itertools.groupby(action.elements, key=lambda g: g.linear):
+        if not _is_reflection(linear):
+            continue
+        spec = cyclotomic_spectrum(linear)
+        for g in run:
+            solvable, x = solve_torus_congruence(linear, g.translation)
+            if solvable:
+                out.append(ExceptionalElement(g, spec, spec.age(), x))
+    return tuple(out)
 
 
 class TestClosure:
@@ -178,6 +197,12 @@ class TestClosure:
             assert inverse(g) in members
             for h in action.elements:
                 assert g.compose(h) in members
+
+    def test_equality_reads_the_generators_and_lists_nothing(self):
+        a, b = s3_pm1(), s3_pm1()
+        assert a == b and hash(a) == hash(b) and "elements" not in vars(a)
+        assert a.elements == b.elements and a == b
+        assert kummer2() != swap2()
 
     def test_canonical_order_independent_of_generator_order(self):
         cyc = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
@@ -379,7 +404,13 @@ class TestRandomizedFiltrationInvariants:
             except GroupTooLargeError:
                 continue
             trials += 1
+            assert action.order == len(action.elements)
+            members, _ = generate(gens, affine_identity(n), 10**6)
+            assert action.elements == tuple(sorted(members, key=sort_key))
+            exc = exceptional_elements(action)
+            assert exc == _exceptional_by_listing(action)
             report = filtration(action)
+            assert report.chain[0] == _tangent_by_every_column(n, exc)
             # verdict trichotomy and its defining equivalences
             assert report.verdict in (KODAIRA_ZERO, UNIRULED_NOT_RC, RATIONALLY_CONNECTED)
             assert (report.verdict == KODAIRA_ZERO) == (not report.exceptional)
@@ -401,6 +432,7 @@ class TestRandomizedFiltrationInvariants:
                 # the induced quotient map is a homomorphism onto a closed group
                 if report.exceptional and report.chain[0].rank < n:
                     quotient, _ = _quotient_action(action, report.chain[0])
+                    assert exceptional_elements(quotient) == _exceptional_by_listing(quotient)
                     members = set(quotient.elements)
                     induced = {g: _induce(action, report.chain[0], g) for g in action.elements}
                     for g in action.elements:
@@ -408,6 +440,14 @@ class TestRandomizedFiltrationInvariants:
                         for h in action.elements:
                             assert induced[g.compose(h)] == induced[g].compose(induced[h])
         assert oracle_trials >= 10  # enough small cases actually exercised the oracle
+
+
+def _tangent_by_every_column(n, exc):
+    """The saturated span of every column of every M - I, zero and repeated ones included."""
+    from reidtai.lattice import saturate, sublattice_from_rows, zero_sublattice
+
+    rows = [[e.element.linear[i][j] - (i == j) for i in range(n)] for e in exc for j in range(n)]
+    return saturate(sublattice_from_rows(n, rows)) if rows else zero_sublattice(n)
 
 
 def _induce(action, sub, g):
@@ -567,11 +607,79 @@ class TestOneDerivationPerStage:
 
     @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
     def test_one_spectrum_per_linear_part(self, path, monkeypatch):
-        """One spectrum for each linear part of age in (0, 1), decided here from its spectrum, and none for the rest."""
+        """Every reflection linear part has the one spectrum of n - 1 zeros and 1/2, so a stage computes it once.
+
+        At most one spectrum per exceptional_elements call, none when no lift is a
+        reflection, and each exceptional element carries its own linear part's spectrum.
+        """
         import reidtai.torus as torus
 
         action = _load_action(path)
         calls = []
         monkeypatch.setattr(torus, "cyclotomic_spectrum", lambda m: calls.append(m) or cyclotomic_spectrum(m))
-        exceptional_elements(action)
-        assert sorted(calls) == sorted({g.linear for g in action.elements if 0 < cyclotomic_spectrum(g.linear).age() < 1})
+        exc = exceptional_elements(action)
+        assert len(calls) == any(_is_reflection(t.linear) for t in action.lifts)
+        assert all(e.spectrum == cyclotomic_spectrum(e.element.linear) for e in exc)
+        calls.clear()
+        report = filtration(action)
+        assert len(calls) <= len(report.stage_exceptional_counts)
+
+
+def _heads(path):
+    action = _load_action(path)
+    return action.rank, [t.linear for t in action.lifts]
+
+
+class TestReflectionFacts:
+    """The facts exceptional_elements relies on, checked on every head of the shipped inputs."""
+
+    @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+    def test_a_reflection_has_trace_n_minus_2_and_the_one_spectrum(self, path):
+        n, heads = _heads(path)
+        one_spectrum = Spectrum([0] * (n - 1) + [F(1, 2)])
+        for linear in heads:
+            if _is_reflection(linear):
+                assert sum(linear[i][i] for i in range(n)) == n - 2, linear
+                assert cyclotomic_spectrum(linear) == one_spectrum, linear
+
+    def test_the_trace_test_only_skips_a_head(self, monkeypatch):
+        """A rank-4 head with eigenvalues 1, 1, i, -i has trace 2 = n - 2, yet the rank-one test rejects it."""
+        import reidtai.torus as torus
+
+        quarter_turn = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+        assert sum(quarter_turn[i][i] for i in range(4)) == 2
+        assert cyclotomic_spectrum(quarter_turn).to_json() == ["0", "0", "1/4", "3/4"]
+        seen = []
+        monkeypatch.setattr(torus, "_is_reflection", lambda m: seen.append(m) or _is_reflection(m))
+        assert exceptional_elements(group(amap(quarter_turn))) == ()
+        # the trace test let it and its inverse through (and skipped I and its square); the rank-one test decided
+        assert sorted(seen) == sorted([quarter_turn, mat_mul(quarter_turn, mat_mul(quarter_turn, quarter_turn))])
+
+
+@pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+def test_exceptional_elements_match_the_listing_walk(path):
+    action = _load_action(path)
+    assert exceptional_elements(action) == _exceptional_by_listing(action)
+    assert action.order == len(action.elements)
+
+
+class TestListingGuards:
+    @pytest.mark.parametrize("path", DEMO_INPUTS + TORUSGEN_INPUTS, ids=lambda p: p.stem)
+    def test_filtration_and_av_verdict_never_list_the_group(self, path, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("TorusAction.elements was read")
+
+        monkeypatch.setattr(TorusAction, "elements", property(refuse))
+        filtration(_load_action(path))
+        for command in ("filtration", "av-verdict"):
+            assert main(["--format", "json", command, str(path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("path", [p for p in TORUSGEN_INPUTS if "kummer" in p.stem or "cycle" in p.stem],
+                             ids=lambda p: p.stem)
+    def test_no_kernel_vector_without_a_reflection(self, path, monkeypatch):
+        listed = []
+        original = _KernelSpan.vectors
+        monkeypatch.setattr(_KernelSpan, "vectors", lambda span: listed.append(span) or original(span))
+        report = filtration(_load_action(path))
+        assert report.exceptional == () and listed == []
