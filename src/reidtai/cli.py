@@ -147,8 +147,12 @@ def main(argv: list[str] | None = None) -> int:
         worker_count(args.threads)  # rejects a malformed REIDTAI_THREADS
         return args.func(args)
     except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message = str(exc)
+    except MemoryError:
+        # printed after the except clause, once the traceback has let the exhausted work go
+        message = "out of memory; a smaller --cap refuses a large group before it is listed"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -299,7 +299,9 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     mult = m * p ** (n_exp - 1)
-    spectrum = Spectrum([Fraction(j, p) for j in range(p)] * mult)
+    # The spectrum's eigenbasis deviation is math.fsum of mult copies of the p chords: their exact
+    # sum, correctly rounded.  So is the float of the exact Fraction sum, with no dim-long list.
+    chords = [2 * math.sin(math.pi * j / p) for j in range(p)]
     dim = m * p**n_exp
     stated = 2 * math.pi * m * p ** (n_exp - 1) * (p * (p - 1)) / (2 * p)
     relaxed = 2 * math.pi * dim / 4
@@ -309,7 +311,7 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
         n_exp=n_exp,
         m=m,
         dim=dim,
-        eigen_deviation=eigenbasis_deviation(spectrum),
+        eigen_deviation=float(mult * sum(Fraction(x) for x in chords)),
         stated_bound=stated,
         relaxed_bound=relaxed,
         threshold=threshold,

@@ -40,7 +40,6 @@ __all__ = [
     "solve_torus_congruence",
     "sublattice_from_rows",
     "transpose",
-    "unimodular_inverse",
     "zero_sublattice",
 ]
 
@@ -64,7 +63,7 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
@@ -87,17 +86,15 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with U unimodular, U*m = H."""
+def hnf(m: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form H of m: H = U*m for some unimodular U, which is not kept."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
 
     def rowsub(i, j, q):
         if q:
             a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     r = 0
     for c in range(cols):
@@ -106,9 +103,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if not nz:
                 break
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
+            a[r], a[i0] = a[i0], a[r]
             done = True
             for i in range(r + 1, rows):
                 if a[i][c] != 0:
@@ -120,22 +115,19 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if r < rows and a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 rowsub(i, r, a[i][c] // a[r][c])
             r += 1
-    h = tuple(tuple(row) for row in a)
-    uu = tuple(tuple(row) for row in u)
-    assert mat_mul(uu, m) == h
-    return h, uu
+    return tuple(tuple(row) for row in a)
 
 
 class SmithDecomposition(Record):
-    """U*M*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... >= 0."""
+    """U*M*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... >= 0; vinv is V^-1."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    vinv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -148,6 +140,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     a = [list(row) for row in m]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    vinv = [row.copy() for row in v]
 
     def rowsub(i, j, q):
         if q:
@@ -160,6 +153,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                 row[i] -= q * row[j]
             for row in v:
                 row[i] -= q * row[j]
+            # V gained -q times column j in column i, so V^-1 gains q times row i in row j
+            vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     def swap_rows(i, j):
         if i != j:
@@ -172,6 +167,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                 row[i], row[j] = row[j], row[i]
             for row in v:
                 row[i], row[j] = row[j], row[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def move_min_to_pivot(t):
         best = None
@@ -228,17 +224,10 @@ def snf(m: IntMatrix) -> SmithDecomposition:
         tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in a),
         tuple(tuple(row) for row in v),
+        tuple(tuple(row) for row in vinv),
     )
-    assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.d
+    assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.d and mat_mul(dec.v, dec.vinv) == identity(cols)
     return dec
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (its HNF is the identity)."""
-    h, u = hnf(m)
-    if h != identity(len(m)):
-        raise ValueError("matrix is not unimodular")
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +260,20 @@ def sublattice_from_rows(ambient_rank: int, rows: Iterable[Sequence[int]]) -> Su
         return zero_sublattice(ambient_rank)
     if len(rows[0]) != ambient_rank:
         raise ValueError("row length does not match ambient rank")
-    h, _ = hnf(rows)
-    basis = tuple(row for row in h if any(row))
+    basis = tuple(row for row in hnf(rows) if any(row))
     return Sublattice(ambient_rank, basis)
 
 
 def saturate(s: Sublattice) -> Sublattice:
-    """The largest sublattice of Z^n with the same rational span (idempotent)."""
+    """The largest sublattice of Z^n with the same rational span (idempotent).
+
+    The Smith form U*B*V = D of the basis B gives U*B = D*V^-1.  The rows of
+    B are independent, so d_i != 0 for i < rank(s), and the first rank(s)
+    rows of V^-1 span the saturation.
+    """
     if s.rank == 0:
         return s
-    # U*B = D*V^{-1}: the HNF basis rows are independent, so dividing row i of
-    # U*B by d_i leaves the first rank(s) rows of V^{-1}, a basis of the saturation.
-    dec = snf(s.basis)
-    rows = [[x // d for x in row] for row, d in zip(mat_mul(dec.u, s.basis), dec.diagonal)]
-    return sublattice_from_rows(s.ambient_rank, rows)
+    return sublattice_from_rows(s.ambient_rank, snf(s.basis).vinv[: s.rank])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .lattice import (
     snf,
     sublattice_from_rows,
     transpose,
-    unimodular_inverse,
     zero_sublattice,
 )
 from .records import Record
@@ -286,14 +285,14 @@ def _tangent_sublattice(n: int, exc: Sequence[ExceptionalElement]) -> Sublattice
 def _quotient_action(action: TorusAction, sub: Sublattice) -> tuple[TorusAction, IntMatrix]:
     """Induced action on the quotient torus Z^n / sub (sub saturated, G-stable, rank >= 1).
 
-    Also returns q = P^T, P = V^{-1} from the Smith form U*B*V = D of sub's
-    basis, whose first rank(sub) columns span sub; q^{-1} = V^T is free.
+    Also returns q = (V^{-1})^T from the Smith form U*B*V = D of sub's basis,
+    whose first rank(sub) columns span sub; the Smith form carries q^{-1} = V^T too.
     """
     n = action.rank
     r = sub.rank
-    v = snf(sub.basis).v
-    q = transpose(unimodular_inverse(v))
-    qinv = transpose(v)
+    dec = snf(sub.basis)
+    q = transpose(dec.vinv)
+    qinv = transpose(dec.v)
     images = []
     for g in action.generators:  # a sublattice stable under the generators is stable under the group
         m2 = mat_mul(mat_mul(qinv, g.linear), q)

@@ -9,7 +9,9 @@ an affine torus map, and ``trace_magnitude`` checks the magnitudes of the
 import math
 from fractions import Fraction
 
-from reidtai.lattice import mat_vec, unimodular_inverse
+from lattice_oracles import unimodular_inverse
+
+from reidtai.lattice import mat_vec
 from reidtai.monomial import MonomialElement, monomial_identity
 from reidtai.roots import over_common_modulus
 from reidtai.torus import AffineTorusMap, affine_identity

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 from element_oracles import apply, is_identity, trace_magnitude
+from lattice_oracles import hnf_with_transform, unimodular_inverse
 
 from reidtai.deviation import eigenbasis_deviation, product_bound_check, tensor_perm_trace_check
 from reidtai.golden import TRACE_TABLE_CELLS
@@ -351,11 +352,13 @@ def test_criterion_12iii_normal_forms():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             m = mat([[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)])
-            h, u = hnf(m)
+            h, u = hnf_with_transform(m)
+            assert hnf(m) == h
             assert mat_mul(u, m) == h
             assert abs(_exact_det(u)) == 1
             dec = snf(m)
             assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.d
+            assert mat_mul(dec.v, dec.vinv) == identity(cols)
             assert abs(_exact_det(dec.u)) == 1
             assert abs(_exact_det(dec.v)) == 1
             diag = dec.diagonal
@@ -409,8 +412,6 @@ def test_criterion_12v_cyclotomic_spectra_numeric():
                 if i != j:
                     q = rng.randint(-2, 2)
                     conj[i] = [a + q * b for a, b in zip(conj[i], conj[j])]
-            from reidtai.lattice import unimodular_inverse
-
             conj_m = mat(conj)
             m = mat_mul(mat_mul(conj_m, mat(full)), unimodular_inverse(conj_m))
             spec = cyclotomic_spectrum(m)

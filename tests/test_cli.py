@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -228,6 +229,32 @@ class TestTorusCommands:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: bad input file {bad}: group too large or infinite: cap 1000000 exceeded\n"
+
+
+def test_out_of_memory_exit_2(tmp_path):
+    # the rank-7 signed permutation group: 2^7 * 7! = 645,120 elements, under the default cap, outgrows an
+    # address space of 128 MiB, a limit set in the child process only
+    n = 7
+
+    def matrix(entries):
+        return [[entries.get((i, j), int(i == j and (i, i) not in entries)) for j in range(n)] for i in range(n)]
+
+    swaps = [matrix({(i, i): 0, (i + 1, i + 1): 0, (i, i + 1): 1, (i + 1, i): 1}) for i in range(n - 1)]
+    generators = swaps + [matrix({(0, 0): -1})]
+    path = tmp_path / "signed_perm7.json"
+    path.write_text(json.dumps({"rank": n, "generators": [{"matrix": m, "translation": ["0"] * n} for m in generators]}))
+    limit = 128 * 2**20
+    result = subprocess.run(
+        [sys.executable, "-m", "reidtai.cli", "filtration", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: out of memory; a smaller --cap refuses a large group before it is listed\n"
 
 
 @pytest.mark.parametrize(

@@ -195,3 +195,18 @@ class TestExtraspecial:
         # p = 2: eigenvalues +-1 each with multiplicity m*2^(n-1); chord sum = 2 * m * 2^(n-1)
         rec = extraspecial_bound(2, 2, 1)
         assert rec.eigen_deviation == pytest.approx(4, abs=1e-9)
+
+    def test_deviation_is_the_spectrum_chord_sum(self):
+        # the same float as the deviation of the dim-long spectrum, bit for bit
+        records = extraspecial_scan(200)
+        assert len(records) > 400
+        for rec in records:
+            spectrum = Spectrum([F(j, rec.p) for j in range(rec.p)] * (rec.dim // rec.p))
+            assert rec.eigen_deviation == eigenbasis_deviation(spectrum), (rec.p, rec.n_exp, rec.m)
+
+    def test_bound_builds_no_spectrum(self, monkeypatch):
+        def refuse(self, values):
+            raise AssertionError("extraspecial_bound built a Spectrum")
+
+        monkeypatch.setattr(Spectrum, "__init__", refuse)
+        assert extraspecial_bound(3, 2, 5).dim == 45

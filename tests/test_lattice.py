@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracles import hnf_with_transform, saturate_by_division, unimodular_inverse
 
 from reidtai.lattice import (
     _cyclotomic_orders,
@@ -24,7 +25,6 @@ from reidtai.lattice import (
     snf,
     solve_torus_congruence,
     sublattice_from_rows,
-    unimodular_inverse,
 )
 from reidtai.roots import euler_phi
 
@@ -71,19 +71,21 @@ def _assert_hnf_shape(h):
 
 class TestHnf:
     def test_examples(self):
-        assert hnf(identity(3))[0] == identity(3)
+        assert hnf(identity(3)) == identity(3)
         m = mat([[2, 4], [0, 6]])
-        assert hnf(m)[0] == m
-        h, u = hnf(mat([[0, 1], [1, 0]]))
-        assert h == identity(2)
-        assert mat_mul(u, mat([[0, 1], [1, 0]])) == h
+        assert hnf(m) == m
+        swap = mat([[0, 1], [1, 0]])
+        h, u = hnf_with_transform(swap)
+        assert hnf(swap) == h == identity(2)
+        assert mat_mul(u, swap) == h
         assert abs(_det_int(u)) == 1
 
     def test_reconstruction_random(self):
         rng = random.Random(23)
         for _ in range(200):
             m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound=9)
-            h, u = hnf(m)
+            h, u = hnf_with_transform(m)
+            assert hnf(m) == h
             assert mat_mul(u, m) == h
             assert abs(_det_int(u)) == 1
             _assert_hnf_shape(h)
@@ -100,7 +102,7 @@ class TestHnf:
                 if i != j:
                     q = rng.randint(-3, 3)
                     u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-            assert hnf(mat_mul(mat(u), m))[0] == hnf(m)[0]
+            assert hnf(mat_mul(mat(u), m)) == hnf(m)
 
     def test_sublattice_equality_independent_of_generators(self):
         a = sublattice_from_rows(3, [[1, 0, -1], [0, 1, -1]])
@@ -125,6 +127,7 @@ class TestSnf:
             m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bound=9)
             dec = snf(m)
             assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.d
+            assert mat_mul(dec.v, dec.vinv) == identity(len(m[0]))
             assert abs(_det_int(dec.u)) == 1
             assert abs(_det_int(dec.v)) == 1
             diag = dec.diagonal
@@ -193,6 +196,15 @@ class TestSaturate:
                     sol, *_ = np.linalg.lstsq(a.T, np.array(row, dtype=float), rcond=None)
                     assert np.allclose(a.T @ sol, row, atol=1e-6)
                     assert np.allclose(sol, np.round(sol), atol=1e-6)
+
+    def test_matches_the_division_route(self):
+        # the first rank(s) rows of V^-1 are the rows of U*B divided by the Smith diagonal
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+            s = sublattice_from_rows(n, rows)
+            assert saturate(s) == saturate_by_division(s)
 
 
 def _grid_solvable(m, t, denominator):

@@ -19,6 +19,7 @@ from reidtai.lattice import (  # noqa: E402
     cyclotomic_poly,
     cyclotomic_spectrum,
     mat,
+    mat_mul,
     matrix_order,
     snf,
 )
@@ -114,7 +115,9 @@ def test_snf_diagonal_matches_sympy():
             m[rng.randrange(rows), :] = sympy.zeros(1, cols)
         expected = smith_normal_form(m, domain=sympy.ZZ)
         diagonal = tuple(abs(int(expected[k, k])) for k in range(min(rows, cols)))
-        assert snf(_as_int_matrix(m)).diagonal == diagonal, m
+        dec = snf(_as_int_matrix(m))
+        assert dec.diagonal == diagonal, m
+        assert mat_mul(dec.v, dec.vinv) == _as_int_matrix(sympy.eye(cols)), m
 
 
 def test_cyclotomic_poly_matches_sympy():

@@ -451,7 +451,9 @@ def _tangent_by_every_column(n, exc):
 
 
 def _induce(action, sub, g):
-    from reidtai.lattice import mat_mul, snf, transpose, unimodular_inverse
+    from lattice_oracles import unimodular_inverse
+
+    from reidtai.lattice import mat_mul, snf, transpose
 
     n = action.rank
     r = sub.rank
