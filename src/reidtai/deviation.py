@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -286,6 +286,14 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+@cache
+def _chord_sum(p: int) -> Fraction:
+    """The exact sum of the p chords 2*sin(pi*j/p) as floats: math.fsum of mult copies is float(mult * this)."""
+    ratios = [(2 * math.sin(math.pi * j / p)).as_integer_ratio() for j in range(p)]
+    d = max(q for _, q in ratios)
+    return Fraction(sum(k * (d // q) for k, q in ratios), d)
+
+
 def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
     """Dimension screen for m copies of a p-group character-sum spectrum.
 
@@ -299,9 +307,6 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     mult = m * p ** (n_exp - 1)
-    # The spectrum's eigenbasis deviation is math.fsum of mult copies of the p chords: their exact
-    # sum, correctly rounded.  So is the float of the exact Fraction sum, with no dim-long list.
-    chords = [2 * math.sin(math.pi * j / p) for j in range(p)]
     dim = m * p**n_exp
     stated = 2 * math.pi * m * p ** (n_exp - 1) * (p * (p - 1)) / (2 * p)
     relaxed = 2 * math.pi * dim / 4
@@ -311,7 +316,7 @@ def extraspecial_bound(p: int, n_exp: int, m: int) -> ExtraspecialRecord:
         n_exp=n_exp,
         m=m,
         dim=dim,
-        eigen_deviation=float(mult * sum(Fraction(x) for x in chords)),
+        eigen_deviation=float(mult * _chord_sum(p)),
         stated_bound=stated,
         relaxed_bound=relaxed,
         threshold=threshold,

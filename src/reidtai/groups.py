@@ -1,20 +1,24 @@
-"""The one group-closure engine and canonical order, shared by the monomial and torus groups.
+"""The one group-closure engine, held-group form and canonical order, shared by the monomial and torus groups.
 
 Both group kinds are extensions 1 -> K -> G -> H -> 1 of a head group H by
 an abelian kernel K: a monomial group over its permutations with the
 diagonal phases as kernel, an affine torus group over its linear parts
-with the translations as kernel.  ``extension`` closes such a group by
-Dimino's coset algorithm over the heads (G. Butler, *Fundamental
-Algorithms for Permutation Groups*, LNCS 559, 1991), and keeps K as a
-span of vectors in (Z/m)^n.
+with the translations as kernel.  Only this module reads an element's
+record fields as its coset form (head, numerators, modulus).  ``extension``
+closes a group by Dimino's coset algorithm over the heads (G. Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991) and keeps
+K as a span of vectors in (Z/m)^n; ``Held`` lists a group held as its lifts
+and K coset by coset.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-__all__ = ["GroupTooLargeError", "canonical", "extension"]
+__all__ = ["GroupTooLargeError", "Held", "canonical", "coset", "extension"]
 
 
 class GroupTooLargeError(RuntimeError):
@@ -76,15 +80,25 @@ class _KernelSpan:
         return out
 
 
+def _difference(y, t, m: int) -> list[int]:
+    """The defect of y and t over one head (see ``extension``): y's numerators minus t's, over m."""
+    _, ky, my = type(y)._values(y)
+    _, kt, mt = type(t)._values(t)
+    fy, ft = m // my, m // mt
+    return [a * fy - b * ft for a, b in zip(ky, kt)]
+
+
 def extension(
-    elements: Iterable, identity, head: Callable, defect: Callable, act: Callable, m: int, n: int, bound: int
+    elements: Iterable, identity, act: Callable, m: int, n: int, bound: int
 ) -> tuple[list, _KernelSpan, tuple] | None:
     """The group G the elements generate, as (lifts, kernel, used); None once it has more than bound members.
 
-    An element needs ``compose`` (the group product).  head(g) is its
-    hashable image in H; defect(y, t), for y and t over one head, is the
-    vector in (Z/m)^n of y * t^-1 in K; act(s, v) is the vector of s v s^-1.
-    G is the union of the cosets lift * K, one lift per head, and
+    An element needs ``compose``, and its record fields are its coset form
+    (head, numerators, modulus), the head its hashable image in H.  The
+    defect of y and t over one head is the difference of their numerators
+    over m: the translation of y * t^-1 for torus maps, the phases of
+    t^-1 * y for monomial ones.  act(s, v) is the vector of s v s^-1.  G is
+    the union of the cosets lift * K, one lift per head, and
     |G| = len(lifts) * kernel.order.  An element already in the group built
     so far is skipped, so the used ones are irredundant, as in Dimino's
     algorithm over whole elements.
@@ -110,21 +124,23 @@ def extension(
     take h = h'' * head(r) in the new layer, with h'' in H_old and r a
     representative, so lift(h) = lift(h'') * r.  If r * s is a new
     representative y, lift(h) * s = lift(h'' * head(y)) exactly.  Otherwise
-    r * s = d * lift(h' * head(r')) = d * lift(h') * r' with d in K, and
-    lift(h) * s = lift(h'') * d * lift(h') * r' lies in
-    lift(h'' h') * r' * K = lift(h'' h' head(r')) * K = lift(h * head(s)) * K.
-    An element s over a known head is d * t with t a lift, and
-    lift(h) * d * t lies in lift(h) * t * K = lift(h * head(t)) * K.  So S
-    is a finite set closed under the used elements, hence a group (each
-    s^-1 is a power of s), and S = G with |G| = len(lifts) * |K|.
+    its defect puts r * s in t * K = K * t (K normal), t = lift(h' * head(r'))
+    = lift(h') * r', and lift(h) * s = lift(h'') * r * s lies in
+    lift(h'') * lift(h') * r' * K, inside lift(h'' h') * r' * K =
+    lift(h'' h' head(r')) * K = lift(h * head(s)) * K.  An element s over a
+    known head lies in t * K with t a lift, by its defect, and
+    lift(h) * s lies in lift(h) * t * K = lift(h * head(t)) * K.  So S is a
+    finite set closed under the used elements, hence a group (each s^-1 is a
+    power of s), and S = G with |G| = len(lifts) * |K|.
     """
+    head = attrgetter(type(identity)._fields[0])
     lifts = {head(identity): identity}
     span = _KernelSpan(n, m)
     used: list = []
     full = m**n
     for c in elements:
         t = lifts.get(head(c))
-        if t is not None and not span.add(defect(c, t)):
+        if t is not None and not span.add(_difference(c, t, m)):
             continue
         used.append(c)
         if t is None:
@@ -140,7 +156,7 @@ def extension(
                             lifts[head(z)] = z
                         reps.append(y)
                     elif span.order < full:
-                        span.add(defect(y, t))
+                        span.add(_difference(y, t, m))
                     if len(lifts) * span.order > bound:
                         return None
         order = 1
@@ -154,13 +170,44 @@ def extension(
     return list(lifts.values()), span, tuple(used)
 
 
+def coset(t, vectors: list[list[int]], m: int) -> list[list[int]]:
+    """The numerators over m of the members of t * K, sorted, for the vectors of K: t's numerators plus each vector."""
+    _, numerators, mt = type(t)._values(t)
+    f = m // mt
+    base = [k * f for k in numerators]
+    return sorted([(b + x) % m for b, x in zip(base, v)] for v in vectors)
+
+
+class Held:
+    """A group held as ``extension`` gives it: ``lifts``, one per head, sorted by head, and the ``kernel`` K.
+
+    ``hold`` sets both outside the record fields, so ``==``, ``hash`` and ``repr`` never read them.  ``order``
+    is |lifts| * |K|; ``elements`` lists the cosets t * K over the sorted lifts, in canonical order, when first read.
+    """
+
+    def hold(self, lifts: Iterable, kernel: _KernelSpan):
+        """Set the lifts, sorted by head, and the kernel; returns the group."""
+        object.__setattr__(self, "lifts", tuple(sorted(lifts, key=lambda t: type(t)._values(t)[0])))
+        object.__setattr__(self, "kernel", kernel)
+        return self
+
+    @property
+    def order(self) -> int:
+        return len(self.lifts) * self.kernel.order
+
+    @cached_property
+    def elements(self) -> tuple:
+        vectors, m = self.kernel.vectors(), self.kernel.m
+        return tuple(t._trusted(t._values(t)[0], nums, m) for t in self.lifts for nums in coset(t, vectors, m))
+
+
 def canonical(elements: Collection, parts: Callable) -> tuple:
     """The elements sorted by (head, k/m for each numerator k), where parts(g) = (head, numerators, m).
 
     Both element kinds order their fields that way, so parts is the class's field getter ``_values``.
 
-    This is the one canonical order of both element kinds; a torus group lists the same order
-    coset by coset, over its sorted lifts, without this sort.  It builds no Fraction: values k/m in
+    This is the one canonical order of both element kinds; a held group of either kind lists the same
+    order coset by coset, over its sorted lifts, without this sort.  It builds no Fraction: values k/m in
     [0, 1) compare like the ints k * (L // m), L the lcm of the moduli present.
     """
     lcm = math.lcm(*{parts(g)[2] for g in elements})

@@ -17,7 +17,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, canonical, extension
+from .groups import GroupTooLargeError, Held, canonical, extension
 from .records import Record
 from .roots import RootOfUnity, over_least_modulus
 from .spectra import Spectrum
@@ -66,11 +66,12 @@ class MonomialElement(Record):
         object.__setattr__(self, "modulus", m)
 
     @classmethod
-    def _trusted(cls, permutation: tuple[int, ...], numerators: tuple[int, ...], m: int) -> "MonomialElement":
-        """Valid parts, numerators already in [0, m) over the least modulus: no check can fail."""
+    def _trusted(cls, permutation: tuple[int, ...], numerators: Iterable[int], m: int) -> "MonomialElement":
+        """An element built from valid ones: the permutation is already a tuple bijection of the numerators' length."""
         g = object.__new__(cls)
+        nums, m = over_least_modulus(numerators, m)
         object.__setattr__(g, "permutation", permutation)
-        object.__setattr__(g, "phase_numerators", numerators)
+        object.__setattr__(g, "phase_numerators", nums)
         object.__setattr__(g, "modulus", m)
         return g
 
@@ -92,7 +93,7 @@ class MonomialElement(Record):
         fb = m // other.modulus
         perm = tuple([sp[p] for p in op])
         nums = [sk[p] * fa + k * fb for p, k in zip(op, other.phase_numerators)]
-        return MonomialElement._trusted(perm, *over_least_modulus(nums, m))
+        return MonomialElement._trusted(perm, nums, m)
 
     # No subcommand inverts an element; kept as a `bench/tracer.py` target and for the test oracles' class closures.
     def inverse(self) -> "MonomialElement":
@@ -100,10 +101,7 @@ class MonomialElement(Record):
         inv = [0] * n
         for j, img in enumerate(self.permutation):
             inv[img] = j
-        m = self.modulus
-        # -k shares its gcd with m, so the negated numerators stay over the least modulus
-        nums = tuple([-self.phase_numerators[i] % m for i in inv])
-        return MonomialElement._trusted(tuple(inv), nums, m)
+        return MonomialElement._trusted(tuple(inv), [-self.phase_numerators[i] for i in inv], self.modulus)
 
     def cycles(self) -> list[list[int]]:
         seen = [False] * self.degree
@@ -149,20 +147,15 @@ def spectrum_of(g: MonomialElement) -> Spectrum:
     return Spectrum(values)
 
 
-class MonomialGroup(Record):
-    """A finite monomial group: its degree, its elements in canonical order and generators."""
+class MonomialGroup(Held, Record):
+    """A finite monomial group of (degree, generators), held (``groups.Held``) over its permutations."""
 
     degree: int
-    elements: tuple[MonomialElement, ...]
     generators: tuple[MonomialElement, ...]
 
-    def __init__(self, degree: int, elements: tuple[MonomialElement, ...], generators: tuple[MonomialElement, ...]):
-        super().__init__(degree, elements, generators)
-        object.__setattr__(self, "_members", frozenset(elements))  # for membership; not a field
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def _members(self) -> frozenset[MonomialElement]:
+        return frozenset(self.elements)
 
     def __contains__(self, g: MonomialElement) -> bool:
         return g in self._members
@@ -171,7 +164,7 @@ class MonomialGroup(Record):
 class GGroup(Record):
     """G(m, p, n) from ``g_group``: ``order`` and membership come from the parameters.
 
-    Its elements are listed by the closure engine, in canonical order, only
+    Its elements are listed by ``monomial_closure``, in canonical order, only
     when ``elements`` is first read; the fields, so ``==``, ``hash`` and
     ``repr``, never list them.
     """
@@ -194,47 +187,31 @@ class GGroup(Record):
     def elements(self) -> tuple[MonomialElement, ...]:
         if not self.generators:  # G(m, m, 1) is trivial
             return (monomial_identity(self.degree),)
-        return _listed(self.generators, self.order)[0]
+        return monomial_closure(self.generators, self.order).elements
 
 
-def _extension(elements: Sequence[MonomialElement], bound: int):
-    """``groups.extension`` over the permutations, the diagonal kernel mod m, the lcm of the elements' moduli."""
+def _closed(elements: Sequence[MonomialElement], cap: int) -> tuple:
+    """(lifts, kernel, used) of ``groups.extension`` over the permutations; GroupTooLargeError above the cap."""
     n = elements[0].degree
     m = math.lcm(*{c.modulus for c in elements})
-
-    def diagonal(y, t):  # y * t^-1 for y, t over one permutation pi: line pi(j) gets k_j(y) - k_j(t), over m
-        fy, ft = m // y.modulus, m // t.modulus
-        return [a * fy - b * ft for _, a, b in sorted(zip(y.permutation, y.phase_numerators, t.phase_numerators))]
 
     def act(s, v):  # the conjugate by s moves the phase of line j to line pi(s)[j]
         return [k for _, k in sorted(zip(s.permutation, v))]
 
-    return extension(elements, monomial_identity(n), attrgetter("permutation"), diagonal, act, m, n, bound)
-
-
-def _listed(elements: Sequence[MonomialElement], cap: int) -> tuple[tuple[MonomialElement, ...], tuple]:
-    """The group the elements generate in canonical order, and the elements used; GroupTooLargeError above cap."""
-    result = _extension(elements, max(cap, 1))
+    result = extension(elements, monomial_identity(n), act, m, n, max(cap, 1))
     if result is None:
         raise GroupTooLargeError.over_cap(cap)
-    lifts, kernel, used = result
-    m, vectors = kernel.m, kernel.vectors()
-    members = []
-    for t in lifts:  # diag(v) * t: line j gets k_j, then moves to line pi(j) and gets v[pi(j)]
-        f = m // t.modulus
-        for v in vectors:
-            nums = [k * f + v[j] for j, k in zip(t.permutation, t.phase_numerators)]
-            members.append(MonomialElement._trusted(t.permutation, *over_least_modulus(nums, m)))
-    return canonical(members, MonomialElement._values), used
+    return result
 
 
-# No subcommand calls this; kept as a `bench/tracer.py` target (removing it changes the benchmark).
+# No subcommand calls this; it lists `GGroup.elements`, and it is a `bench/tracer.py` target.
 def monomial_closure(generators: Iterable[MonomialElement], cap: int = 1_000_000) -> MonomialGroup:
     """Group generated by the elements, in deterministic canonical order."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    return MonomialGroup(gens[0].degree, _listed(gens, cap)[0], gens)
+    lifts, kernel, _ = _closed(gens, cap)
+    return MonomialGroup(gens[0].degree, gens).hold(lifts, kernel)
 
 
 def g_group_order(m: int, p: int, n: int) -> int:
@@ -288,7 +265,7 @@ def conjugacy_class(g: MonomialElement, group: MonomialGroup | GGroup) -> tuple[
                 fa, fk = m // mh, m // mx
                 perm = tuple([s[t[j]] for j in s_inv])
                 nums = [(a[t[j]] - a[j]) * fa + k[j] * fk for j in s_inv]
-                y = MonomialElement._trusted(perm, *over_least_modulus(nums, m))
+                y = MonomialElement._trusted(perm, nums, m)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -306,7 +283,8 @@ def normal_closure(g: MonomialElement, group: MonomialGroup | GGroup, cap: int =
     """
     if g not in group:
         raise ValueError("element does not belong to the group")
-    return MonomialGroup(group.degree, *_listed(conjugacy_class(g, group), cap))
+    lifts, kernel, used = _closed(conjugacy_class(g, group), cap)
+    return MonomialGroup(group.degree, used).hold(lifts, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +347,7 @@ def _exceptional_candidates(n: int, m: int):
     identity = tuple(range(n))
     for ks in _bounded_sums(n, m):
         if any(ks):
-            yield MonomialElement._trusted(identity, *over_least_modulus(ks, m))
+            yield MonomialElement._trusted(identity, ks, m)
     for a, b in combinations(range(n), 2):
         perm = list(identity)
         perm[a], perm[b] = b, a
@@ -379,7 +357,7 @@ def _exceptional_candidates(n: int, m: int):
                 ks = rest.copy()
                 ks.insert(a, ka)
                 ks.insert(b, (s - ka) % m)
-                yield MonomialElement._trusted(perm, *over_least_modulus(ks, m))
+                yield MonomialElement._trusted(perm, ks, m)
 
 
 def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
@@ -388,8 +366,11 @@ def _closure_order(cls: Sequence[MonomialElement], group_order: int) -> int:
     |N| = |pi(N)| * |N ∩ D|, pi the map to permutations and D the diagonal
     subgroup: the lifts and the kernel of ``groups.extension``.
     """
-    result = _extension(cls, group_order // 2)
-    return group_order if result is None else len(result[0]) * result[1].order
+    try:
+        lifts, kernel, _ = _closed(cls, group_order // 2)
+    except GroupTooLargeError:
+        return group_order
+    return len(lifts) * kernel.order
 
 
 def prop_prod_check(group: MonomialGroup | GGroup, reflection_rep: bool = False) -> PropProdReport:

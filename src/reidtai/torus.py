@@ -10,22 +10,18 @@ quotient torus, decides whether the quotient has Kodaira dimension zero,
 is uniruled without being rationally connected, or is rationally
 connected.
 
-A group G is held as the extension 1 -> T -> G -> L -> 1 that the closure
-engine returns: one lift per linear part in L and the span T of the pure
-translations.  Its members are the cosets lift + T; only the reflection
-cosets are ever listed by ``exceptional_elements``, and ``elements``
-lists them all only when it is read.
+A group G is held (``groups.Held``) as the extension 1 -> T -> G -> L -> 1:
+one lift per linear part in L and the span T of its translations.
+``exceptional_elements`` lists only the reflection cosets lift + T.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .groups import GroupTooLargeError, extension
+from .groups import GroupTooLargeError, Held, coset, extension
 from .lattice import (
     _is_reflection,
     _torus_congruence_solver,
@@ -146,36 +142,15 @@ def affine_identity(n: int) -> AffineTorusMap:
     return AffineTorusMap._trusted(identity(n), (0,) * n, 1)
 
 
-class TorusAction(Record):
-    """A finite group of affine torus maps: its lifts over the linear parts L and its translation kernel T.
+class TorusAction(Held, Record):
+    """A finite group of affine torus maps: its rank and generators, held (``groups.Held``) over its linear parts.
 
-    ``closure`` sets ``lifts``, one member per linear part, sorted by linear
-    part, and ``kernel``, the translations of G as a span in (Z/d)^n, d the
-    lcm of the generators' denominators; G is the union of the cosets
-    lift + T.  Both are derived from the generators, so they are not
-    fields: ``==``, ``hash`` and ``repr`` read the rank and the generators.
-    ``order`` is |L| * |T|, and the members are listed, in canonical order,
-    only when ``elements`` is first read.
+    ``lifts`` hold one member per linear part in L, and ``kernel`` the translations T of G as a span in
+    (Z/d)^n, d the lcm of the generators' denominators; G is the union of the cosets lift + T.
     """
 
     rank: int
     generators: tuple[AffineTorusMap, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.lifts) * self.kernel.order
-
-    @cached_property
-    def elements(self) -> tuple[AffineTorusMap, ...]:
-        vectors, d = self.kernel.vectors(), self.kernel.m
-        return tuple(AffineTorusMap._trusted(t.linear, nums, d) for t in self.lifts for nums in _coset(t, vectors, d))
-
-
-def _coset(t: AffineTorusMap, vectors: list[list[int]], d: int) -> list[list[int]]:
-    """The translations of t + T as numerators over d, sorted: the coset in canonical order."""
-    f = d // t.denominator
-    base = [k * f for k in t.numerators]
-    return sorted([(b + x) % d for b, x in zip(base, v)] for v in vectors)
 
 
 def closure(generators: Iterable[AffineTorusMap], cap: int = 1_000_000) -> TorusAction:
@@ -195,24 +170,14 @@ def _closed(gens: tuple[AffineTorusMap, ...], cap: int) -> TorusAction:
     """``closure`` of maps of one rank whose linear parts have finite order, without checking either."""
     n = gens[0].rank
     d = math.lcm(*(g.denominator for g in gens))
-
-    def defect(y, t):  # y * t^-1, the translation by the difference of the two translations, over d
-        fy, ft = d // y.denominator, d // t.denominator
-        return [a * fy - b * ft for a, b in zip(y.numerators, t.numerators)]
-
     # a finite group's linear image has order dividing M(n), and its translations lie in (Z/d)^n
     bound = min(max(cap, 1), _minkowski(n) * d**n)
     # conjugating x -> x + v by s gives x -> x + M_s v
-    result = extension(
-        gens, affine_identity(n), attrgetter("linear"), defect, lambda s, v: mat_vec(s.linear, v), d, n, bound
-    )
+    result = extension(gens, affine_identity(n), lambda s, v: mat_vec(s.linear, v), d, n, bound)
     if result is None:
         raise GroupTooLargeError.over_cap(cap)
     lifts, kernel, _ = result
-    action = TorusAction(n, gens)
-    object.__setattr__(action, "lifts", tuple(sorted(lifts, key=attrgetter("linear"))))  # not fields
-    object.__setattr__(action, "kernel", kernel)
-    return action
+    return TorusAction(n, gens).hold(lifts, kernel)
 
 
 def _minkowski(n: int) -> int:
@@ -260,7 +225,7 @@ def exceptional_elements(action: TorusAction) -> tuple[ExceptionalElement, ...]:
             spec = cyclotomic_spectrum(linear)
             age = spec.age()
         solve = _torus_congruence_solver(linear)
-        for nums in _coset(t, vectors, d):
+        for nums in coset(t, vectors, d):
             x = solve(nums, d)
             if x is not None:
                 out.append(ExceptionalElement(AffineTorusMap._trusted(linear, nums, d), spec, age, x))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reidtai import deviation
 from reidtai.deviation import (
     deviation_wrt_basis,
     eigenbasis_deviation,
@@ -203,6 +204,13 @@ class TestExtraspecial:
         for rec in records:
             spectrum = Spectrum([F(j, rec.p) for j in range(rec.p)] * (rec.dim // rec.p))
             assert rec.eigen_deviation == eigenbasis_deviation(spectrum), (rec.p, rec.n_exp, rec.m)
+
+    def test_chord_sum_is_taken_once_per_prime(self):
+        deviation._chord_sum.cache_clear()
+        records = extraspecial_scan(200)
+        info = deviation._chord_sum.cache_info()
+        assert info.misses == len({rec.p for rec in records}) == 46
+        assert info.misses + info.hits == len(records)
 
     def test_bound_builds_no_spectrum(self, monkeypatch):
         def refuse(self, values):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from operator import attrgetter
@@ -5,7 +6,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from element_oracles import sort_key
+from element_oracles import inverse, sort_key
 from group_oracles import generate
 
 from reidtai import groups, monomial, torus
@@ -248,3 +249,44 @@ def test_torus_closure_matches_the_dimino_oracle():
             got = _outcome(lambda: closure(gens, cap=cap).elements)
             assert got == _members(_oracle(gens, affine_identity(2), cap)), (gens, cap)
     assert above_oracle_cap >= 5
+
+
+# The one defect rule: the difference of two members' numerators over one head, read off the coset form.
+
+
+def test_the_monomial_defect_is_t_inverse_times_y():
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        perm = tuple(rng.sample(range(n), n))
+        y, t = (MonomialElement(perm, [rng.randrange(m) for _ in range(n)], m) for m in rng.choices(range(1, 13), k=2))
+        m = math.lcm(y.modulus, t.modulus)
+        q = t.inverse().compose(y)  # diag(k_y - k_t)
+        assert q.permutation == tuple(range(n))
+        f = m // q.modulus
+        assert [k % m for k in groups._difference(y, t, m)] == [k * f for k in q.phase_numerators], (y, t)
+
+
+def test_the_torus_defect_is_y_times_t_inverse():
+    rng = random.Random(25)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        linear = _random_signed_permutation_map(rng, n).linear
+        y, t = (AffineTorusMap(linear, _random_signed_permutation_map(rng, n).translation) for _ in range(2))
+        d = math.lcm(y.denominator, t.denominator)
+        q = y.compose(inverse(t))  # the translation by t_y - t_t
+        assert q.linear == identity(n)
+        f = d // q.denominator
+        assert [k % d for k in groups._difference(y, t, d)] == [k * f for k in q.numerators], (y, t)
+
+
+def test_a_held_monomial_group_lists_nothing_for_its_order(monkeypatch):
+    def listed(self):
+        raise AssertionError("the kernel was listed")
+
+    monkeypatch.setattr(groups._KernelSpan, "vectors", listed)
+    group = g_group(4, 2, 3)
+    t = MonomialElement((0, 1, 2), (1, 3, 0), 4)
+    assert monomial_closure(group.generators).order == group.order == 192
+    assert normal_closure(t, group).order == 16  # the diagonal phases with product in mu_2
+    assert monomial_closure([MonomialElement((1, 2, 0), (1, 0, 0), 3)]).order == 9

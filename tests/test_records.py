@@ -44,23 +44,15 @@ RECORDS = sorted(
 IDS = [cls.__qualname__ for cls in RECORDS]
 
 
-def _members_post_init(self):
-    object.__setattr__(self, "_members", frozenset(self.elements))
-
-
 def twin_of(cls: type) -> type:
-    """The frozen dataclass the class body would make; MonomialGroup keeps its derived member set."""
+    """The frozen dataclass the class body would make."""
     specs = []
     for name in cls.__dict__["__annotations__"]:
         if name in cls.__dict__:
             specs.append((name, object, dataclasses.field(default=cls.__dict__[name])))
         else:
             specs.append((name, object))
-    namespace = {}
-    if cls is MonomialGroup:
-        specs.append(("_members", object, dataclasses.field(init=False, repr=False, compare=False)))
-        namespace["__post_init__"] = _members_post_init
-    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True, namespace=namespace)
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
 
 
 def _outcome(f, *args):
@@ -224,12 +216,16 @@ def test_exceptional_elements_and_their_reports():
 
 def test_monomial_group_members_are_not_a_field():
     group = monomial_closure(g_group(2, 1, 2).generators)
-    assert "_members" not in repr(group) and "_members" not in group._fields
+    assert group._fields == ("degree", "generators")
     assert_matches_twin(group)
-    same = MonomialGroup(group.degree, group.elements, group.generators)
-    object.__setattr__(same, "_members", frozenset())  # compare=False: the member set takes no part in ==
-    assert same == group and hash(same) == hash(group)
-    assert group.generators[0] in group and group.generators[0] not in same
+    assert group.order == 8 and not {"elements", "_members"} & set(vars(group))
+    assert group.generators[0] in group and {"elements", "_members"} <= set(vars(group))
+    assert_matches_twin(group)  # the listing takes no part in repr, == or hash
+    same = MonomialGroup(group.degree, group.generators)  # holds no lifts and no kernel
+    assert not hasattr(same, "lifts") and not hasattr(same, "kernel")
+    object.__setattr__(same, "_members", frozenset())
+    assert same == group and hash(same) == hash(group) and repr(same) == repr(group)
+    assert group.generators[0] not in same
     report = monomial.prop_prod_check(group)
     assert_matches_twin(report)
     for entry in report.entries:
